@@ -11,10 +11,13 @@
    regression-check the experiment engine's performance.
 
    [--check FILE] compares this run against a committed baseline JSON: the
-   run fails (exit 1) if FILE is missing any required field or if the run's
+   run fails (exit 1) if FILE is missing any required field, if the run's
    total events/second — sequential or parallel — has regressed more than
-   15% below FILE's. CI uses this to gate merges on the committed
-   BENCH_sweeps.json. *)
+   15% below FILE's, or if a figure FILE also lists ran a different number
+   of simulator events. Event counts are deterministic at a fixed
+   transaction count and batch setting, so a changed count means changed
+   behaviour; it is compared only when both match FILE's. CI uses this to
+   gate merges on the committed BENCH_sweeps.json. *)
 
 module Params = Repdb_workload.Params
 module Experiment = Repdb.Experiment
@@ -146,7 +149,7 @@ let number_after json ~from name =
       done;
       float_of_string_opt (String.sub json start (!j - start))
 
-let check_against file ~seq_rate ~par_rate =
+let check_against file ~rows ~seq_rate ~par_rate =
   let json =
     match In_channel.with_open_bin file In_channel.input_all with
     | j -> j
@@ -192,9 +195,25 @@ let check_against file ~seq_rate ~par_rate =
   | Some t when int_of_float t <> txns_per_thread ->
       Fmt.epr
         "baseline check: warning: txns_per_thread differs (run %d vs baseline %.0f); events/s is \
-         roughly scale-free but prefer matching REPDB_BENCH_TXNS@."
+         roughly scale-free but prefer matching REPDB_BENCH_TXNS; event counts not compared@."
         txns_per_thread t
-  | _ -> ());
+  | _ when batch_size <> 1 || batch_linger_ms <> 0.0 ->
+      Fmt.epr "baseline check: warning: REPDB_BENCH_BATCH is set; event counts not compared@."
+  | _ ->
+      (* Only the "figures" array (which precedes "total") holds figure ids. *)
+      List.iter
+        (fun r ->
+          match index_from_opt json 0 (Printf.sprintf "\"id\": %S" r.id) with
+          | Some at when at < total_at -> (
+              match number_after json ~from:at "events" with
+              | Some e when int_of_float e = r.events ->
+                  Fmt.pr "check %-14s %10d events (baseline identical)@." r.id r.events
+              | Some e ->
+                  check_fail "%s: %s ran %d events, baseline %.0f (behaviour changed)" file r.id
+                    r.events e
+              | None -> check_fail "%s: %s.events missing or not a number" file r.id)
+          | _ -> ())
+        rows);
   let tolerance = 0.15 in
   let gate label current baseline =
     let ratio = current /. baseline in
@@ -274,7 +293,7 @@ let () =
   if not all_identical then exit 1;
   Option.iter
     (fun file ->
-      check_against file
+      check_against file ~rows
         ~seq_rate:(float_of_int events_total /. seq_total)
         ~par_rate:(float_of_int events_total /. par_total))
     check_file

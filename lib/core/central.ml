@@ -1,8 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
-module Lock_mgr = Repdb_lock.Lock_mgr
-module History = Repdb_txn.History
-module Store = Repdb_store.Store
 module Value = Repdb_store.Value
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
@@ -50,83 +46,43 @@ let serve_certify t ~src ~reads ~writes ~reply =
 
 let cert_server t site =
   let c = t.c in
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
+  Exec.serve t.net site (fun ~src -> function
     | Certify { reads; writes; reply } ->
         (* The request's outstanding count carries over to the reply. *)
         Sim.spawn c.sim (fun () -> serve_certify t ~src ~reads ~writes ~reply)
     | Certify_reply { ok; deliver } ->
         Cluster.dec_outstanding c;
-        deliver ok);
-    loop ()
-  in
-  loop ()
+        deliver ok)
 
 (* One sequential applier per site: updates of an item all originate at its
    primary, so FIFO delivery + in-order application preserves the
    certification order (concurrent application could invert two updates that
    overlap on some items but not others). *)
 let update_applier t site =
-  let c = t.c in
-  let inbox = Network.inbox t.update_net site in
-  let rec loop () =
-    let _, { gid; writes; origin_commit } = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    let items = Routing.local_replicas c.placement site writes in
-    Exec.apply_secondary c ~gid ~site items ~finally:(fun () ->
-        if items <> [] then
-          Metrics.propagation c.metrics ~delay:(Sim.now c.sim -. origin_commit);
-        Cluster.dec_outstanding c);
-    loop ()
-  in
-  loop ()
+  Exec.serve t.update_net site (fun ~src:_ { gid; writes; origin_commit } ->
+      Propagate.receive t.c ~site ~gid ~origin_commit writes)
+
+let describe_cert = function
+  | Certify { reads; writes; _ } ->
+      ("certify", 16 + (12 * List.length reads) + (8 * List.length writes))
+  | Certify_reply _ -> ("certify-reply", 16)
+
+let describe_update (u : update_msg) = ("update", 24 + (8 * List.length u.writes))
 
 let create (c : Cluster.t) =
   let t =
     {
       c;
-      net = Cluster.make_net c;
-      update_net = Cluster.make_net c;
+      net = Cluster.make_net ~describe:describe_cert c;
+      update_net = Cluster.make_net ~describe:describe_update c;
       committed_version = Array.make c.params.n_items 0;
       n_certified = 0;
       n_rejected = 0;
     }
   in
-  let cat = Cluster.profile_cat c "server" in
-  for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> cert_server t site);
-    Sim.spawn ~cat c.sim (fun () -> update_applier t site)
-  done;
+  Exec.spawn_servers c (fun site ->
+      [ (fun () -> cert_server t site); (fun () -> update_applier t site) ]);
   t
-
-(* Execute ops locally under strict 2PL, capturing the version of every item
-   read (the certification evidence). *)
-let run_ops_versioned (c : Cluster.t) ~gid ~attempt ~site ops =
-  let reads = ref [] in
-  let rec go = function
-    | [] -> Ok (List.rev !reads)
-    | op :: rest -> (
-        let item, mode, kind =
-          match op with
-          | Txn.Read item -> (item, Lock_mgr.Shared, History.R)
-          | Txn.Write item -> (item, Lock_mgr.Exclusive, History.W)
-        in
-        match Lock_mgr.acquire c.locks.(site) ~owner:attempt item mode with
-        | Lock_mgr.Granted ->
-            Cluster.use_cpu c site c.params.cpu_op;
-            (match op with
-            | Txn.Read item ->
-                let v = Store.read c.stores.(site) item in
-                reads := (item, v.Value.version) :: !reads
-            | Txn.Write _ -> ());
-            History.record c.history ~site ~item ~gid ~attempt kind;
-            go rest
-        | (Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim) as o ->
-            Error (Exec.abort_reason_of_outcome o))
-  in
-  go ops
 
 let certify t ~site ~reads ~writes =
   let c = t.c in
@@ -143,39 +99,22 @@ let certify t ~site ~reads ~writes =
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  match run_ops_versioned c ~gid ~attempt ~site spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      Txn.Aborted reason
-  | Ok reads ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
-      if certify t ~site ~reads ~writes then begin
-        Exec.commit_cost c ~site;
-        Exec.apply_writes c ~gid ~site writes;
-        Exec.release c ~attempt ~site;
-        (* Lazy direct propagation; per-item streams are FIFO from the
-           primary, so replicas apply in certification order. *)
-        let dests = Hashtbl.create 4 in
-        List.iter
-          (fun item -> Array.iter (fun s -> Hashtbl.replace dests s ()) c.placement.replicas.(item))
-          writes;
-        let now = Sim.now c.sim in
-        Hashtbl.iter
-          (fun dst () ->
-            Cluster.inc_outstanding c;
-            Network.send t.update_net ~src:site ~dst { gid; writes; origin_commit = now })
-          dests;
-        if Hashtbl.length dests > 0 then
-          Cluster.use_cpu c site (float_of_int (Hashtbl.length dests) *. c.params.cpu_msg);
-        Txn.Committed
-      end
-      else begin
-        Exec.abort_local c ~attempt ~site;
-        Txn.Aborted Txn.Remote_denied
-      end
+  Exec.primary c spec
+    ~run:(fun f ->
+      (* Execute under strict 2PL, capturing the version of every item read
+         (the certification evidence). *)
+      let reads = ref [] in
+      Exec.run_ops c ~gid:f.gid ~attempt:f.attempt ~site:f.site spec.ops
+        ~on_read:(fun item v -> reads := (item, v.Value.version) :: !reads)
+      |> Result.map (fun () -> List.rev !reads))
+    ~prepare:(fun f reads ->
+      if certify t ~site:f.site ~reads ~writes:f.writes then Ok () else Error Txn.Remote_denied)
+    ~publish:(fun f _ ->
+      (* Lazy direct propagation; per-item streams are FIFO from the
+         primary, so replicas apply in certification order. *)
+      let msg = { gid = f.gid; writes = f.writes; origin_commit = Sim.now c.sim } in
+      Propagate.fan_out c ~site:f.site f.writes (fun dst ->
+          Network.send t.update_net ~src:f.site ~dst msg))
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)
 let reconfigure = Some ignore

@@ -262,42 +262,39 @@ let use_cpu t site d =
 
 let latency_fn t src dst = t.lat_fn src dst
 
-let make_net ?describe t =
+(* Every network and batcher reports its in-flight units to the timeline's
+   sample and, per site pair, to the healer's weak failover drain. *)
+let track_inflight t ?total matching =
+  let total = Option.value total ~default:(fun () -> matching (fun ~src:_ ~dst:_ -> true)) in
+  t.inflight_fns <- total :: t.inflight_fns;
+  t.inflight_matching_fns <- matching :: t.inflight_matching_fns
+
+let create_net ?arity ~describe t =
   let net =
-    Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t)
+    Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t) ?arity
       ~on_send:(fun units -> t.messages <- t.messages + units)
-      ~trace:t.trace ?describe ~stats:t.stats ?injector:t.injector ()
+      ~trace:t.trace ~describe ~stats:t.stats ?injector:t.injector ()
   in
-  t.inflight_fns <- (fun () -> Repdb_net.Network.in_flight net) :: t.inflight_fns;
-  t.inflight_matching_fns <-
-    (fun f -> Repdb_net.Network.in_flight_matching net ~f) :: t.inflight_matching_fns;
+  track_inflight t
+    ~total:(fun () -> Repdb_net.Network.in_flight net)
+    (fun f -> Repdb_net.Network.in_flight_matching net ~f);
   net
+
+let make_net ~describe t = create_net ~describe t
 
 (* A net whose messages are per-pair coalesced update runs. Counters and
    traces account logical updates (a singleton batch describes exactly like
    the bare message did pre-batching, so batch_size=1 traces are unchanged);
    the [inflight] sample also counts updates still parked in the batcher. *)
-let make_batch_net ?describe_one t =
-  let describe =
-    Option.map
-      (fun d -> function
-        | [ m ] -> d m
-        | ms ->
-            let kind = match ms with m :: _ -> fst (d m) | [] -> "batch" in
-            ( Printf.sprintf "%s[%d]" kind (List.length ms),
-              List.fold_left (fun acc m -> acc + snd (d m)) 8 ms ))
-      describe_one
+let make_batch_net ~describe_one t =
+  let describe = function
+    | [ m ] -> describe_one m
+    | ms ->
+        let kind = match ms with m :: _ -> fst (describe_one m) | [] -> "batch" in
+        ( Printf.sprintf "%s[%d]" kind (List.length ms),
+          List.fold_left (fun acc m -> acc + snd (describe_one m)) 8 ms )
   in
-  let net =
-    Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t)
-      ~arity:List.length
-      ~on_send:(fun units -> t.messages <- t.messages + units)
-      ~trace:t.trace ?describe ~stats:t.stats ?injector:t.injector ()
-  in
-  t.inflight_fns <- (fun () -> Repdb_net.Network.in_flight net) :: t.inflight_fns;
-  t.inflight_matching_fns <-
-    (fun f -> Repdb_net.Network.in_flight_matching net ~f) :: t.inflight_matching_fns;
-  net
+  create_net ~arity:List.length ~describe t
 
 let make_batcher t net =
   let bat =
@@ -306,19 +303,7 @@ let make_batcher t net =
       ~ship:(fun ~src ~dst batch -> Repdb_net.Network.send net ~src ~dst batch)
       ()
   in
-  t.inflight_fns <-
-    (fun () ->
-      let n = t.params.n_sites in
-      let parked = ref 0 in
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          parked := !parked + Repdb_net.Batcher.pending bat ~src ~dst
-        done
-      done;
-      !parked)
-    :: t.inflight_fns;
-  t.inflight_matching_fns <-
-    (fun f ->
+  track_inflight t (fun f ->
       let n = t.params.n_sites in
       let parked = ref 0 in
       for src = 0 to n - 1 do
@@ -326,14 +311,14 @@ let make_batcher t net =
           if f ~src ~dst then parked := !parked + Repdb_net.Batcher.pending bat ~src ~dst
         done
       done;
-      !parked)
-    :: t.inflight_matching_fns;
+      !parked);
   bat
 
 (* --- trace/metrics emission helpers (shared by the protocols) ------------- *)
 
 (* The txn begin/commit/abort helpers double as the span lifecycle hooks:
-   the four lazy protocols call each exactly once per client attempt. *)
+   the transaction frame ([Exec]) calls each exactly once per client
+   attempt. *)
 let trace_txn_begin t ~gid ~site =
   Span.begin_ t.spans ~gid ~site ~now:(Sim.now t.sim);
   if Trace.on t.trace then Trace.record t.trace (Event.Txn_begin { gid; site })
@@ -390,7 +375,7 @@ let record_stale_read t ~site ~item ~staleness =
 
 (* --- replication-lag bookkeeping ------------------------------------------ *)
 
-(* Called by the lazy protocols at origin-commit time with the committed
+(* Called by the transaction frame at origin-commit time with the committed
    write set: every site holding a replica of a written item will eventually
    apply this transaction, so it gains one pending update. Counted once per
    (transaction, site) via the scratch array. Maintained only when a

@@ -149,20 +149,21 @@ val use_cpu : t -> int -> float -> unit
 (** Constant-latency function for building networks from [params.latency]. *)
 val latency_fn : t -> int -> int -> float
 
-(** [make_net t] — a fresh network wired to the cluster's simulation, latency,
-    message counter, trace and stats registry. Each protocol builds its own
-    typed network(s); [describe] tags traced messages with a kind and an
-    approximate size in bytes. *)
-val make_net : ?describe:('a -> string * int) -> t -> 'a Repdb_net.Network.t
+(** [make_net ~describe t] — a fresh network wired to the cluster's
+    simulation, latency, message counter, trace, stats registry and
+    in-flight accounting. Each protocol builds its own typed network(s);
+    [describe] tags traced messages with a kind and an approximate size in
+    bytes. *)
+val make_net : describe:('a -> string * int) -> t -> 'a Repdb_net.Network.t
 
-(** [make_batch_net t] — a network carrying per-pair coalesced update runs
-    ([batch_size]/[batch_linger_ms] from the cluster's params). Message
-    counters, per-site stats and the timeline's in-flight sample account
-    logical updates, not envelopes, so metrics stay comparable across batch
-    sizes; [describe_one] describes a single update (a singleton batch is
-    described exactly like the bare message, larger batches as
-    ["kind[n]"] with summed sizes). *)
-val make_batch_net : ?describe_one:('a -> string * int) -> t -> 'a list Repdb_net.Network.t
+(** [make_batch_net ~describe_one t] — a network carrying per-pair coalesced
+    update runs ([batch_size]/[batch_linger_ms] from the cluster's params).
+    Message counters, per-site stats and the timeline's in-flight sample
+    account logical updates, not envelopes, so metrics stay comparable
+    across batch sizes; [describe_one] describes a single update (a
+    singleton batch is described exactly like the bare message, larger
+    batches as ["kind[n]"] with summed sizes). *)
+val make_batch_net : describe_one:('a -> string * int) -> t -> 'a list Repdb_net.Network.t
 
 (** [make_batcher t net] — the coalescer feeding [net], configured from the
     cluster's [batch_size]/[batch_linger_ms]; updates still parked in it are
@@ -171,8 +172,10 @@ val make_batcher : t -> 'a list Repdb_net.Network.t -> 'a Repdb_net.Batcher.t
 
 (** {1 Trace emission helpers}
 
-    No-ops when the trace is disabled; protocols call these instead of
-    touching the trace directly. *)
+    No-ops when the trace is disabled. The transaction and secondary
+    lifecycle events are emitted by the transaction frame ({!Exec},
+    {!Propagate}); [trace_txn_begin]/[commit]/[abort] also open and close
+    the attempt's phase span. *)
 
 val trace_txn_begin : t -> gid:int -> site:int -> unit
 val trace_txn_commit : t -> gid:int -> site:int -> unit
@@ -214,8 +217,8 @@ val record_propagation : t -> gid:int -> site:int -> delay:float -> unit
 
     All no-ops unless [params.timeline_every > 0]. *)
 
-(** [note_destined t ~items] — called by the lazy protocols at origin-commit
-    time with the committed write set: every site holding a replica of a
+(** [note_destined t ~items] — called by the transaction frame at
+    origin-commit time with the committed write set: every site holding a replica of a
     written item gains one pending update (once per transaction). *)
 val note_destined : t -> items:int list -> unit
 
@@ -234,8 +237,8 @@ val sample_timeline : t -> unit
 (** {1 Phase spans} *)
 
 (** [span_link t ~owner ~gid] — tie a lock-owner (attempt) id to its gid so
-    lock waits are attributed; protocols call it right after allocating the
-    client attempt id. *)
+    lock waits are attributed; the transaction frame calls it right after
+    allocating the client attempt id. *)
 val span_link : t -> owner:int -> gid:int -> unit
 
 (** Charge [dur] ms of a phase to the attempt linked as [owner]. *)

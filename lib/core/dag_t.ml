@@ -67,32 +67,31 @@ let advance_site_ts t site (msg : msg) =
 
 let process t site (msg : msg) =
   let c = t.c in
-  Cluster.use_cpu c site c.params.cpu_msg;
-  if msg.dummy then advance_site_ts t site msg
-  else begin
-    Cluster.trace_secondary_recv c ~gid:msg.gid ~site;
-    let items = Routing.local_replicas c.placement site msg.writes in
-    Exec.apply_secondary c ~gid:msg.gid ~site items ~finally:(fun () ->
-        if items <> [] then
-          Cluster.record_propagation c ~gid:msg.gid ~site
-            ~delay:(Sim.now c.sim -. msg.origin_commit);
-        advance_site_ts t site msg;
-        Cluster.dec_outstanding c)
+  if msg.dummy then begin
+    Cluster.use_cpu c site c.params.cpu_msg;
+    advance_site_ts t site msg
   end
+  else
+    Propagate.receive c ~site ~trace_recv:true ~gid:msg.gid ~origin_commit:msg.origin_commit
+      ~forward:(fun () ->
+        advance_site_ts t site msg;
+        0)
+      msg.writes
+
+(* Block until every parent queue is non-empty, then dequeue the minimum. *)
+let rec next_secondary st =
+  match min_head st with
+  | Some (q, msg) ->
+      ignore (Queue.pop q);
+      msg
+  | None ->
+      Condvar.await st.arrivals;
+      next_secondary st
 
 let applier t site =
-  let st = t.states.(site) in
-  let rec loop () =
-    match min_head st with
-    | Some (q, msg) ->
-        ignore (Queue.pop q);
-        process t site msg;
-        loop ()
-    | None ->
-        Condvar.await st.arrivals;
-        loop ()
-  in
-  loop ()
+  while true do
+    process t site (next_secondary t.states.(site))
+  done
 
 (* The Section 3.2.3 relaxation: several secondaries execute concurrently.
    Dispatch (and hence commit tickets) still follows timestamp order; a
@@ -115,28 +114,21 @@ let pipelined_worker t site (msg : msg) ~ticket ~items =
   while not (my_turn_on_items ()) do
     Condvar.await st.turn
   done;
-  let attempt = ref (-1) in
-  if items <> [] then begin
-    let rec acquire () =
-      attempt := Cluster.fresh_attempt c;
-      match Exec.acquire_writes c ~gid:msg.gid ~attempt:!attempt ~site items with
-      | Ok () -> ()
-      | Error _ ->
-          Exec.abort_local c ~attempt:!attempt ~site;
-          acquire ()
-    in
-    acquire ();
-    Exec.commit_cost c ~site
-  end;
+  let attempt =
+    if items = [] then -1
+    else begin
+      let attempt = Exec.acquire_secondary c ~gid:msg.gid ~site items in
+      Exec.commit_cost c ~site;
+      attempt
+    end
+  in
   (* Commit strictly in dispatch (= timestamp) order. *)
   while st.commits_done <> ticket do
     Condvar.await st.turn
   done;
   if items <> [] then begin
-    Exec.apply_writes c ~gid:msg.gid ~site items;
-    Cluster.trace_secondary_commit c ~gid:msg.gid ~site;
-    Exec.release c ~attempt:!attempt ~site;
-    Cluster.record_propagation c ~gid:msg.gid ~site ~delay:(Sim.now c.sim -. msg.origin_commit)
+    Exec.commit_secondary c ~gid:msg.gid ~site ~attempt items;
+    Propagate.applied c ~gid:msg.gid ~site ~origin_commit:msg.origin_commit
   end;
   advance_site_ts t site msg;
   List.iter
@@ -152,37 +144,24 @@ let pipelined_worker t site (msg : msg) ~ticket ~items =
 let pipelined_applier t site =
   let c = t.c in
   let st = t.states.(site) in
-  let rec loop () =
-    match min_head st with
-    | Some (q, msg) ->
-        ignore (Queue.pop q);
-        if not msg.dummy then Cluster.trace_secondary_recv c ~gid:msg.gid ~site;
-        let ticket = st.tickets in
-        st.tickets <- st.tickets + 1;
-        let items =
-          if msg.dummy then []
-          else Routing.local_replicas c.placement site msg.writes
-        in
-        (* Register per-item FIFO position synchronously, before yielding. *)
-        List.iter
-          (fun item ->
-            let iq =
-              match Hashtbl.find_opt st.item_queues item with
-              | Some iq -> iq
-              | None ->
-                  let iq = Queue.create () in
-                  Hashtbl.replace st.item_queues item iq;
-                  iq
-            in
-            Queue.add ticket iq)
-          items;
-        Sim.spawn c.sim (fun () -> pipelined_worker t site msg ~ticket ~items);
-        loop ()
-    | None ->
-        Condvar.await st.arrivals;
-        loop ()
-  in
-  loop ()
+  while true do
+    let msg = next_secondary st in
+    if not msg.dummy then Propagate.dequeued c ~site ~gid:msg.gid;
+    let ticket = st.tickets in
+    st.tickets <- st.tickets + 1;
+    let items = if msg.dummy then [] else Routing.local_replicas c.placement site msg.writes in
+    (* Register per-item FIFO position synchronously, before yielding. *)
+    List.iter
+      (fun item ->
+        match Hashtbl.find_opt st.item_queues item with
+        | Some iq -> Queue.add ticket iq
+        | None ->
+            let iq = Queue.create () in
+            Queue.add ticket iq;
+            Hashtbl.replace st.item_queues item iq)
+      items;
+    Sim.spawn c.sim (fun () -> pipelined_worker t site msg ~ticket ~items)
+  done
 
 (* Secondaries coalesce; dummies are progress barriers, so they flush the
    pair and ship alone — a dummy's timestamp must not overtake (or park
@@ -262,29 +241,27 @@ let create_internal ~pipelined (c : Cluster.t) =
         })
   in
   let t = { c; graph; rank; net; bat; states; pipelined } in
-  for site = 0 to m - 1 do
-    let st = states.(site) in
-    Network.set_handler net site (fun ~src batch ->
-        List.iter
-          (fun msg ->
-            match Hashtbl.find_opt st.queues src with
-            | Some q ->
-                Queue.add msg q;
-                Cluster.trace_queue_depth c ~site
-                  ~queue:(Printf.sprintf "parent:%d" src)
-                  ~depth:(Queue.length q);
-                Condvar.broadcast st.arrivals
-            | None -> invalid_arg "Dag_t: message from a non-parent site")
-          batch);
-    let cat = Cluster.profile_cat c "server" in
-    if Digraph.pred graph site <> [] then
-      Sim.spawn ~cat c.sim (fun () -> if t.pipelined then pipelined_applier t site else applier t site);
-    let children = Digraph.succ graph site in
-    if children <> [] then begin
-      Sim.spawn ~cat c.sim (fun () -> dummy_timer t site children);
-      if Digraph.pred graph site = [] then Sim.spawn ~cat c.sim (fun () -> epoch_timer t site)
-    end
-  done;
+  Array.iteri
+    (fun site st ->
+      Network.set_handler net site (fun ~src batch ->
+          List.iter
+            (fun msg ->
+              match Hashtbl.find_opt st.queues src with
+              | Some q ->
+                  Queue.add msg q;
+                  Cluster.trace_queue_depth c ~site
+                    ~queue:(Printf.sprintf "parent:%d" src)
+                    ~depth:(Queue.length q);
+                  Condvar.broadcast st.arrivals
+              | None -> invalid_arg "Dag_t: message from a non-parent site")
+            batch))
+    states;
+  Exec.spawn_servers c (fun site ->
+      let parents = Digraph.pred graph site and children = Digraph.succ graph site in
+      let applier () = if pipelined then pipelined_applier t site else applier t site in
+      (if parents <> [] then [ applier ] else [])
+      @ (if children <> [] then [ (fun () -> dummy_timer t site children) ] else [])
+      @ if children <> [] && parents = [] then [ (fun () -> epoch_timer t site) ] else []);
   t
 
 let create c = create_internal ~pipelined:false c
@@ -292,44 +269,25 @@ let create_pipelined c = create_internal ~pipelined:true c
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
-  match Exec.run_ops c ~gid ~attempt ~site spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      Cluster.trace_txn_abort c ~gid ~site reason;
-      Txn.Aborted reason
-  | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost ~owner:attempt c ~site;
-      (* Atomic commit section (the "critical section" of Section 3.2.2):
-         bump the local counter, stamp the transaction, apply, release and
+  Exec.primary c spec
+    ~run:(fun f -> Exec.run_ops c ~gid:f.gid ~attempt:f.attempt ~site:f.site spec.ops)
+    ~publish:(fun f () ->
+      (* Still inside the atomic commit section (the "critical section" of
+         Section 3.2.2): bump the local counter, stamp the transaction and
          schedule the secondaries at the relevant children. *)
+      let site = f.site and writes = f.writes in
       let st = t.states.(site) in
       st.lts <- st.lts + 1;
       st.ts <- Timestamp.bump_own st.ts t.rank.(site);
-      let ts = st.ts in
-      Exec.apply_writes c ~gid ~site writes;
-      Cluster.note_destined c ~items:writes;
-      Cluster.trace_txn_commit c ~gid ~site;
-      Exec.release c ~attempt ~site;
+      let msg = { ts = st.ts; gid = f.gid; writes; dummy = false; origin_commit = Sim.now c.sim } in
       let relevant =
         List.filter
           (fun child ->
             List.exists (fun item -> Placement.has_replica c.placement ~site:child item) writes)
           (Digraph.succ t.graph site)
       in
-      let now = Sim.now c.sim in
-      List.iter
-        (fun child ->
-          send t ~src:site ~dst:child { ts; gid; writes; dummy = false; origin_commit = now })
-        relevant;
-      if relevant <> [] then
-        Cluster.use_cpu c site (float_of_int (List.length relevant) *. c.params.cpu_msg);
-      Txn.Committed
+      List.iter (fun child -> send t ~src:site ~dst:child msg) relevant;
+      Propagate.charge c ~site (List.length relevant))
 
 (* Online reconfiguration is unsupported: the per-copy-graph-parent queues,
    timestamp site ranks and epoch machinery are tied to one topology for the

@@ -31,53 +31,23 @@ let relevant_children t site writes =
    outstanding token is taken per update at push time, so updates parked in
    the batcher hold the quiescence/drain machinery open until they flush. *)
 let forward t site (msg : msg) =
-  let children = relevant_children t site msg.writes in
-  List.iter
-    (fun child ->
-      Cluster.inc_outstanding t.c;
+  Propagate.ship t.c (relevant_children t site msg.writes) (fun child ->
       Batcher.push t.bat ~src:site ~dst:child msg)
-    children;
-  List.length children
 
-
-(* One secondary subtransaction, received from the tree parent. *)
-let process_secondary t site (msg : msg) =
-  let c = t.c in
-  (* Epoch fence: the operator coordinator drains all in-flight propagation
-     before it switches routing, so a later epoch cannot surface here — but a
-     healer failover drains weakly, and a message parked behind the outage
-     can deliver after the switch. Such messages are dropped with accounting;
-     anti-entropy repairs whatever they carried. *)
-  if Cluster.stale_epoch c ~site ~epoch:msg.epoch then Cluster.dec_outstanding c
-  else begin
-  Cluster.use_cpu c site c.params.cpu_msg;
-  let items = Routing.local_replicas c.placement site msg.writes in
-  let sent = ref 0 in
-  Exec.apply_secondary c ~gid:msg.gid ~site items ~finally:(fun () ->
-      if items <> [] then
-        Cluster.record_propagation c ~gid:msg.gid ~site
-          ~delay:(Sim.now c.sim -. msg.origin_commit);
-      sent := forward t site msg;
-      Cluster.dec_outstanding c);
-  if !sent > 0 then Cluster.use_cpu c site (float_of_int !sent *. c.params.cpu_msg)
-  end
-
+(* Dequeue order = receive order (the FIFO the protocol's correctness rests
+   on), and a batch preserves its pushes' order; the trace records it so
+   tests can assert commit order. The epoch fence drops a message parked
+   behind a healer failover's outage (anti-entropy repairs what it carried);
+   an operator switch drains first, so none arrive then. *)
 let applier t site =
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let _, batch = Mailbox.recv inbox in
-    (* Dequeue order = receive order (the FIFO the protocol's correctness
-       rests on), and a batch preserves its pushes' order; the trace records
-       it so tests can assert commit order. *)
-    List.iter
-      (fun (msg : msg) ->
-        Cluster.trace_secondary_recv t.c ~gid:msg.gid ~site;
-        Cluster.trace_queue_depth t.c ~site ~queue:"fifo" ~depth:(Mailbox.length inbox);
-        process_secondary t site msg)
-      batch;
-    loop ()
-  in
-  loop ()
+  Exec.serve t.net site (fun ~src:_ ->
+      List.iter (fun (msg : msg) ->
+          Propagate.dequeued t.c ~site ~gid:msg.gid;
+          Cluster.trace_queue_depth t.c ~site ~queue:"fifo"
+            ~depth:(Mailbox.length (Network.inbox t.net site));
+          Propagate.receive t.c ~site ~epoch:msg.epoch ~gid:msg.gid ~origin_commit:msg.origin_commit
+            ~forward:(fun () -> forward t site msg)
+            msg.writes))
 
 let describe_msg (msg : msg) = ("secondary", 24 + (8 * List.length msg.writes))
 
@@ -97,11 +67,9 @@ let create_with_tree (c : Cluster.t) tr =
      (idle at roots); without one, spawn exactly as before — spawn counts
      feed the event tie-break order, and static runs must stay
      byte-identical. *)
-  let cat = Cluster.profile_cat c "server" in
-  for site = 0 to c.params.n_sites - 1 do
-    if Cluster.reconfig_planned c || Tree.parent tr site <> -1 then
-      Sim.spawn ~cat c.sim (fun () -> applier t site)
-  done;
+  Exec.spawn_servers c (fun site ->
+      if Cluster.reconfig_planned c || Tree.parent tr site <> -1 then [ (fun () -> applier t site) ]
+      else []);
   t
 
 let create (c : Cluster.t) =
@@ -124,25 +92,10 @@ let reconfigure =
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
-  match Exec.run_ops c ~gid ~attempt ~site spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      Cluster.trace_txn_abort c ~gid ~site reason;
-      Txn.Aborted reason
-  | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost ~owner:attempt c ~site;
-      (* Atomic commit section: apply, release, forward. *)
-      Exec.apply_writes c ~gid ~site writes;
-      Cluster.note_destined c ~items:writes;
-      Cluster.trace_txn_commit c ~gid ~site;
-      Exec.release c ~attempt ~site;
-      let msg = { gid; writes; origin_commit = Sim.now c.sim; epoch = c.config_epoch } in
-      let sent = if writes = [] then 0 else forward t site msg in
-      if sent > 0 then Cluster.use_cpu c site (float_of_int sent *. c.params.cpu_msg);
-      Txn.Committed
+  Exec.primary c spec
+    ~run:(fun f -> Exec.run_ops c ~gid:f.gid ~attempt:f.attempt ~site:f.site spec.ops)
+    ~publish:(fun f () ->
+      let msg =
+        { gid = f.gid; writes = f.writes; origin_commit = Sim.now c.sim; epoch = c.config_epoch }
+      in
+      Propagate.charge c ~site:f.site (if f.writes = [] then 0 else forward t f.site msg))

@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
@@ -53,7 +52,7 @@ let decide t site ~owner ~gid ~commit ~origin_commit =
       Hashtbl.remove t.staged.(site) owner;
       if commit then begin
         Exec.apply_writes c ~gid ~site (List.sort_uniq compare !cell);
-        Metrics.propagation c.metrics ~delay:(Sim.now c.sim -. origin_commit)
+        Propagate.applied c ~gid ~site ~origin_commit
       end
       else Repdb_txn.History.discard_attempt c.history ~attempt:owner
   | None -> ());
@@ -61,10 +60,7 @@ let decide t site ~owner ~gid ~commit ~origin_commit =
   Cluster.dec_outstanding c
 
 let server t site =
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
+  Exec.serve t.net site (fun ~src -> function
     | Wlock_request { item; owner; reply } ->
         Sim.spawn t.c.sim (fun () -> serve_wlock t site ~src ~item ~owner ~reply)
     | Wlock_reply { granted; deliver } ->
@@ -77,25 +73,25 @@ let server t site =
         Cluster.dec_outstanding t.c;
         deliver ()
     | Decide { owner; gid; commit; origin_commit } ->
-        Sim.spawn t.c.sim (fun () -> decide t site ~owner ~gid ~commit ~origin_commit));
-    loop ()
-  in
-  loop ()
+        Sim.spawn t.c.sim (fun () -> decide t site ~owner ~gid ~commit ~origin_commit))
+
+let describe_msg = function
+  | Wlock_request _ -> ("wlock-request", 24)
+  | Wlock_reply _ -> ("wlock-reply", 16)
+  | Prepare _ -> ("prepare", 16)
+  | Prepare_ack _ -> ("prepare-ack", 16)
+  | Decide _ -> ("decide", 32)
 
 let create (c : Cluster.t) =
-  let net = Cluster.make_net c in
   let t =
     {
       c;
-      net;
+      net = Cluster.make_net ~describe:describe_msg c;
       staged = Array.init c.params.n_sites (fun _ -> Hashtbl.create 16);
       remote = 0;
     }
   in
-  let cat = Cluster.profile_cat c "server" in
-  for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> server t site)
-  done;
+  Exec.spawn_servers c (fun site -> [ (fun () -> server t site) ]);
   t
 
 let rpc t ~site ~dst msg_of_reply =
@@ -105,63 +101,66 @@ let rpc t ~site ~dst msg_of_reply =
       Cluster.inc_outstanding c;
       Network.send t.net ~src:site ~dst (msg_of_reply resume))
 
+(* Write-all locks span sites, so the gid doubles as the lock owner. *)
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = gid in
   let participants = Hashtbl.create 4 in
-  let finish_remote commit origin_commit =
+  let decide_all (f : Exec.frame) ~commit ~origin_commit =
     Hashtbl.iter
       (fun dst () ->
         Cluster.inc_outstanding c;
-        Network.send t.net ~src:site ~dst (Decide { owner = attempt; gid; commit; origin_commit }))
+        Network.send t.net ~src:f.site ~dst
+          (Decide { owner = f.attempt; gid = f.gid; commit; origin_commit }))
       participants
   in
-  let write_everywhere item =
-    let reps = c.placement.replicas.(item) in
-    let rec go i =
-      if i >= Array.length reps then Ok ()
-      else begin
-        let dst = reps.(i) in
-        t.remote <- t.remote + 1;
-        Hashtbl.replace participants dst ();
-        if rpc t ~site ~dst (fun reply -> Wlock_request { item; owner = attempt; reply }) then begin
-          Cluster.use_cpu c site c.params.cpu_msg;
-          go (i + 1)
+  let run (f : Exec.frame) =
+    let site = f.site in
+    let write_everywhere item =
+      let reps = c.placement.replicas.(item) in
+      let rec go i =
+        if i >= Array.length reps then Ok ()
+        else begin
+          let dst = reps.(i) in
+          t.remote <- t.remote + 1;
+          Hashtbl.replace participants dst ();
+          if rpc t ~site ~dst (fun reply -> Wlock_request { item; owner = f.attempt; reply })
+          then begin
+            Cluster.use_cpu c site c.params.cpu_msg;
+            go (i + 1)
+          end
+          else Error Txn.Remote_denied
         end
-        else Error Txn.Remote_denied
-      end
+      in
+      go 0
     in
-    go 0
+    let rec go = function
+      | [] -> Ok ()
+      | op :: rest -> (
+          match Exec.run_ops c ~gid:f.gid ~attempt:f.attempt ~site [ op ] with
+          | Error reason -> Error reason
+          | Ok () -> (
+              match op with
+              | Txn.Read _ -> go rest
+              | Txn.Write item -> (match write_everywhere item with Ok () -> go rest | e -> e)))
+    in
+    go spec.ops
   in
-  let rec run = function
-    | [] -> Ok ()
-    | op :: rest -> (
-        match Exec.run_ops c ~gid ~attempt ~site [ op ] with
-        | Error reason -> Error reason
-        | Ok () -> (
-            match op with
-            | Txn.Read _ -> run rest
-            | Txn.Write item -> ( match write_everywhere item with Ok () -> run rest | e -> e)))
-  in
-  match run spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      finish_remote false 0.0;
-      Txn.Aborted reason
-  | Ok () ->
-      (* Phase 1: prepare round to every participant. *)
-      Hashtbl.iter
-        (fun dst () -> ignore (rpc t ~site ~dst (fun resume -> Prepare { owner = attempt; reply = (fun () -> resume true) })))
-        participants;
-      (* Phase 2: commit locally, then decide. *)
-      let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost c ~site;
-      Exec.apply_writes c ~gid ~site writes;
-      Exec.release c ~attempt ~site;
-      finish_remote true (Sim.now c.sim);
-      Txn.Committed
+  Exec.primary ~attempt_is_gid:true c spec ~run
+    ~cleanup:(decide_all ~commit:false ~origin_commit:0.0)
+    ~prepare:(fun f () ->
+      (* Phase 1: prepare round to every participant (the eager
+         propagation wait). *)
+      Exec.prop_wait f (fun () ->
+          Hashtbl.iter
+            (fun dst () ->
+              ignore
+                (rpc t ~site:f.site ~dst (fun resume ->
+                     Prepare { owner = f.attempt; reply = (fun () -> resume true) })))
+            participants);
+      Ok ())
+    ~publish:(fun f () ->
+      (* Phase 2: committed locally; decide everywhere. *)
+      decide_all f ~commit:true ~origin_commit:(Sim.now c.sim))
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)
 let reconfigure = Some ignore

@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Lock_mgr = Repdb_lock.Lock_mgr
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
@@ -42,19 +41,16 @@ let serve_read t site ~src ~item ~owner ~reply =
   | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> respond false
 
 (* Apply a pushed update set at a replica site (short local X locks, retried
-   against concurrent pushes), then acknowledge. *)
+   against concurrent pushes), then acknowledge; the ack takes a token of its
+   own before the push's is released. *)
 let serve_push t site ~src ~gid ~writes ~origin_commit ~reply =
-  let c = t.c in
-  Cluster.use_cpu c site c.params.cpu_msg;
-  let items = Routing.local_replicas c.placement site writes in
-  Exec.apply_secondary c ~gid ~site items ~finally:(fun () ->
-      if items <> [] then Metrics.propagation c.metrics ~delay:(Sim.now c.sim -. origin_commit);
-      Batcher.push_now t.bat ~src:site ~dst:src (Push_ack { deliver = reply }))
+  Propagate.receive t.c ~site ~gid ~origin_commit writes ~forward:(fun () ->
+      Cluster.inc_outstanding t.c;
+      Batcher.push_now t.bat ~src:site ~dst:src (Push_ack { deliver = reply });
+      0)
 
 let server t site =
-  let inbox = Network.inbox t.net site in
-  let handle src msg =
-    match msg with
+  let handle src = function
     | Read_request { item; owner; reply } ->
         Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~owner ~reply)
     | Read_reply { granted; deliver } ->
@@ -71,20 +67,19 @@ let server t site =
             Lock_mgr.release_all t.c.locks.(site) ~owner;
             Cluster.dec_outstanding t.c)
   in
-  let rec loop () =
-    let src, batch = Mailbox.recv inbox in
-    List.iter (handle src) batch;
-    loop ()
-  in
-  loop ()
+  Exec.serve t.net site (fun ~src batch -> List.iter (handle src) batch)
+
+let describe_msg = function
+  | Read_request _ -> ("read-request", 24)
+  | Read_reply _ -> ("read-reply", 16)
+  | Push { writes; _ } -> ("push", 24 + (8 * List.length writes))
+  | Push_ack _ -> ("push-ack", 16)
+  | Release _ -> ("release", 16)
 
 let create (c : Cluster.t) =
-  let net = Cluster.make_batch_net c in
+  let net = Cluster.make_batch_net ~describe_one:describe_msg c in
   let t = { c; net; bat = Cluster.make_batcher c net; remote = 0 } in
-  let cat = Cluster.profile_cat c "server" in
-  for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> server t site)
-  done;
+  Exec.spawn_servers c (fun site -> [ (fun () -> server t site) ]);
   t
 
 (* [batched] only for pushes: the lazy stream may park in the coalescer;
@@ -97,70 +92,55 @@ let rpc ?(batched = false) t ~site ~dst msg_of_reply =
       if batched then Batcher.push t.bat ~src:site ~dst (msg_of_reply resume)
       else Batcher.push_now t.bat ~src:site ~dst (msg_of_reply resume))
 
+(* Remote read locks span sites, so the gid doubles as the lock owner. *)
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = gid in
   let remote_sites = Hashtbl.create 4 in
-  let cleanup_remote () =
+  let release_remote (f : Exec.frame) =
     Hashtbl.iter
       (fun primary () ->
         Cluster.inc_outstanding c;
-        Batcher.push_now t.bat ~src:site ~dst:primary (Release { owner = attempt }))
+        Batcher.push_now t.bat ~src:f.site ~dst:primary (Release { owner = f.attempt }))
       remote_sites
   in
-  let rec run = function
-    | [] -> Ok ()
-    | op :: rest -> (
-        match op with
-        | Txn.Write _ -> (
-            match Exec.run_ops c ~gid ~attempt ~site [ op ] with
-            | Ok () -> run rest
-            | Error reason -> Error reason)
-        | Txn.Read item ->
-            let primary = c.placement.primary.(item) in
-            if primary = site then (
-              match Exec.run_ops c ~gid ~attempt ~site [ op ] with
-              | Ok () -> run rest
-              | Error reason -> Error reason)
-            else begin
-              t.remote <- t.remote + 1;
-              Hashtbl.replace remote_sites primary ();
-              if rpc t ~site ~dst:primary (fun reply -> Read_request { item; owner = attempt; reply })
-              then begin
-                (* Read the local replica under the primary's lock. *)
-                Cluster.use_cpu c site c.params.cpu_op;
-                ignore (Store.read c.stores.(site) item);
-                run rest
-              end
-              else Error Txn.Remote_denied
-            end)
+  let run (f : Exec.frame) =
+    let site = f.site in
+    let local op = Exec.run_ops c ~gid:f.gid ~attempt:f.attempt ~site [ op ] in
+    let rec go = function
+      | [] -> Ok ()
+      | (Txn.Write _ as op) :: rest -> (match local op with Ok () -> go rest | e -> e)
+      | (Txn.Read item as op) :: rest ->
+          let primary = c.placement.primary.(item) in
+          if primary = site then (match local op with Ok () -> go rest | e -> e)
+          else begin
+            t.remote <- t.remote + 1;
+            Hashtbl.replace remote_sites primary ();
+            if
+              rpc t ~site ~dst:primary (fun reply ->
+                  Read_request { item; owner = f.attempt; reply })
+            then begin
+              (* Read the local replica under the primary's lock. *)
+              Cluster.use_cpu c site c.params.cpu_op;
+              ignore (Store.read c.stores.(site) item);
+              go rest
+            end
+            else Error Txn.Remote_denied
+          end
+    in
+    go spec.ops
   in
-  match run spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      cleanup_remote ();
-      Txn.Aborted reason
-  | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost c ~site;
-      Exec.apply_writes c ~gid ~site writes;
+  Exec.primary ~attempt_is_gid:true c spec ~run ~cleanup:release_remote
+    ~hold:(fun f ->
       (* Push the updates and hold every lock until all replicas ack. *)
-      let dests = Hashtbl.create 4 in
-      List.iter
-        (fun item -> Array.iter (fun s -> Hashtbl.replace dests s ()) c.placement.replicas.(item))
-        writes;
       let origin_commit = Sim.now c.sim in
-      Hashtbl.iter
-        (fun dst () ->
-          ignore
-            (rpc ~batched:true t ~site ~dst (fun resume ->
-                 Push { gid; writes; origin_commit; reply = (fun () -> resume true) })))
-        dests;
-      Exec.release c ~attempt ~site;
-      cleanup_remote ();
-      Txn.Committed
+      let push resume =
+        Push { gid = f.gid; writes = f.writes; origin_commit; reply = (fun () -> resume true) }
+      in
+      Exec.prop_wait f (fun () ->
+          List.iter
+            (fun dst -> ignore (rpc ~batched:true t ~site:f.site ~dst push))
+            (Propagate.destinations c ~site:f.site f.writes)))
+    ~publish:(fun f () -> release_remote f)
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)
 let reconfigure = Some ignore

@@ -1,5 +1,3 @@
-module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
 
@@ -11,57 +9,25 @@ type msg = { gid : int; writes : int list; origin_commit : float }
 type t = { c : Cluster.t; net : msg Network.t }
 
 let applier t site =
-  let c = t.c in
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let _, msg = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    let items = Routing.local_replicas c.placement site msg.writes in
-    Exec.apply_secondary c ~gid:msg.gid ~site items ~finally:(fun () ->
-        if items <> [] then
-          Metrics.propagation c.metrics ~delay:(Sim.now c.sim -. msg.origin_commit);
-        Cluster.dec_outstanding c);
-    loop ()
-  in
-  loop ()
+  Exec.serve t.net site (fun ~src:_ msg ->
+      Propagate.receive t.c ~site ~gid:msg.gid ~origin_commit:msg.origin_commit msg.writes)
+
+let describe_msg (msg : msg) = ("update", 24 + (8 * List.length msg.writes))
 
 let create (c : Cluster.t) =
-  let net = Cluster.make_net c in
-  let t = { c; net } in
-  let cat = Cluster.profile_cat c "server" in
-  for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> applier t site)
-  done;
+  let t = { c; net = Cluster.make_net ~describe:describe_msg c } in
+  Exec.spawn_servers c (fun site -> [ (fun () -> applier t site) ]);
   t
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  match Exec.run_ops c ~gid ~attempt ~site spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      Txn.Aborted reason
-  | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost c ~site;
-      Exec.apply_writes c ~gid ~site writes;
-      Exec.release c ~attempt ~site;
+  Exec.primary c spec
+    ~run:(fun f -> Exec.run_ops c ~gid:f.gid ~attempt:f.attempt ~site:f.site spec.ops)
+    ~publish:(fun f () ->
       (* Indiscriminate: straight to every replica site, no ordering. *)
-      let dests = Hashtbl.create 8 in
-      List.iter
-        (fun item -> Array.iter (fun s -> Hashtbl.replace dests s ()) c.placement.replicas.(item))
-        writes;
-      let now = Sim.now c.sim in
-      Hashtbl.iter
-        (fun dst () ->
-          Cluster.inc_outstanding c;
-          Network.send t.net ~src:site ~dst { gid; writes; origin_commit = now })
-        dests;
-      if Hashtbl.length dests > 0 then
-        Cluster.use_cpu c site (float_of_int (Hashtbl.length dests) *. c.params.cpu_msg);
-      Txn.Committed
+      let msg = { gid = f.gid; writes = f.writes; origin_commit = Repdb_sim.Sim.now c.sim } in
+      Propagate.fan_out c ~site:f.site f.writes (fun dst ->
+          Network.send t.net ~src:f.site ~dst msg))
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)
 let reconfigure = Some ignore

@@ -1,12 +1,10 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
 module Validator = Repdb_occ.Validator
-module Span = Repdb_obs.Span
 
 let name = "occ-epoch"
 let updates_replicas = true
@@ -55,44 +53,19 @@ let apply_verdicts t ~site results =
       match verdict with
       | None -> p.deliver `Validation_failed
       | Some vwrites ->
-          Cluster.use_cpu c site c.params.cpu_commit;
-          if vwrites <> [] then begin
-            let attempt = Cluster.fresh_attempt c in
-            List.iter
-              (fun (item, version) ->
-                Store.apply c.stores.(site) item ~writer:p.gid ();
-                assert ((Store.read c.stores.(site) item).Value.version = version);
-                Cluster.note_apply c ~site ~item;
-                History.record c.history ~site ~item ~gid:p.gid ~attempt ~version History.W)
-              vwrites;
-            Cluster.note_destined c ~items:(List.map fst vwrites)
-          end;
-          Cluster.trace_txn_commit c ~gid:p.gid ~site;
-          if vwrites <> [] then begin
-            (* Lazy propagation of the winner's writes; per-item streams are
-               FIFO from the primary, so replicas apply in validation order. *)
-            let dests = Hashtbl.create 4 in
-            List.iter
-              (fun (item, _) ->
-                Array.iter
-                  (fun s -> if s <> site then Hashtbl.replace dests s ())
-                  c.placement.replicas.(item))
-              vwrites;
-            let now = Sim.now c.sim in
-            Hashtbl.iter
-              (fun dst () ->
-                Cluster.inc_outstanding c;
-                Network.send t.update_net ~src:site ~dst
-                  {
-                    u_gid = p.gid;
-                    u_writes = vwrites;
-                    u_origin_commit = now;
-                    u_epoch = c.config_epoch;
-                  })
-              dests;
-            if Hashtbl.length dests > 0 then
-              Cluster.use_cpu c site (float_of_int (Hashtbl.length dests) *. c.params.cpu_msg)
-          end;
+          Exec.commit_certified c ~gid:p.gid ~site vwrites;
+          (* Lazy propagation of the winner's writes; per-item streams are
+             FIFO from the primary, so replicas apply in validation order. *)
+          let u =
+            {
+              u_gid = p.gid;
+              u_writes = vwrites;
+              u_origin_commit = Sim.now c.sim;
+              u_epoch = c.config_epoch;
+            }
+          in
+          Propagate.fan_out c ~site (List.map fst vwrites) (fun dst ->
+              Network.send t.update_net ~src:site ~dst u);
           p.deliver `Committed)
     results
 
@@ -122,10 +95,7 @@ let serve_batch t ~src txns =
    validation order is apply order. *)
 let server t site =
   let c = t.c in
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
+  Exec.serve t.net site (fun ~src -> function
     | Batch { epoch; txns } ->
         assert (site = validator_site);
         assert (epoch = c.config_epoch);
@@ -133,38 +103,16 @@ let server t site =
     | Verdicts { epoch; results } ->
         Cluster.dec_outstanding c;
         assert (epoch = c.config_epoch);
-        apply_verdicts t ~site results);
-    loop ()
-  in
-  loop ()
+        apply_verdicts t ~site results)
 
 let update_applier t site =
   let c = t.c in
-  let inbox = Network.inbox t.update_net site in
-  let rec loop () =
-    let _, u = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    assert (u.u_epoch = c.config_epoch);
-    let local = Routing.local_replicas c.placement site (List.map fst u.u_writes) in
-    if local <> [] then begin
-      let attempt = Cluster.fresh_attempt c in
-      List.iter
-        (fun (item, version) ->
-          if List.mem item local then begin
-            Store.apply c.stores.(site) item ~writer:u.u_gid ();
-            assert ((Store.read c.stores.(site) item).Value.version = version);
-            Cluster.note_apply c ~site ~item;
-            History.record c.history ~site ~item ~gid:u.u_gid ~attempt ~version History.W
-          end)
-        u.u_writes;
-      Cluster.trace_secondary_commit c ~gid:u.u_gid ~site;
-      Cluster.record_propagation c ~gid:u.u_gid ~site
-        ~delay:(Sim.now c.sim -. u.u_origin_commit)
-    end;
-    Cluster.dec_outstanding c;
-    loop ()
-  in
-  loop ()
+  Exec.serve t.update_net site (fun ~src:_ u ->
+      Propagate.receive c ~site ~epoch:u.u_epoch ~gid:u.u_gid ~origin_commit:u.u_origin_commit
+        ~install:(fun local ->
+          Exec.apply_versioned c ~gid:u.u_gid ~site
+            (List.filter (fun (item, _) -> List.mem item local) u.u_writes))
+        (List.map fst u.u_writes))
 
 (* Flush a site's buffered transactions as one batch to the validator. Runs
    in its own process (CPU waits block); the validator site validates its own
@@ -198,11 +146,8 @@ let create (c : Cluster.t) =
       queues = Array.init c.params.n_sites (fun _ -> ref []);
     }
   in
-  let cat = Cluster.profile_cat c "server" in
-  for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> server t site);
-    Sim.spawn ~cat c.sim (fun () -> update_applier t site)
-  done;
+  Exec.spawn_servers c (fun site ->
+      [ (fun () -> server t site); (fun () -> update_applier t site) ]);
   (* Epoch boundaries are global instants (k * occ_epoch_ms): every site
      flushes at the same boundary, in site order. The ticker keeps firing
      while a reconfiguration drains — queued transactions must still reach
@@ -222,12 +167,8 @@ let create (c : Cluster.t) =
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let deadline_at = Cluster.deadline_at c in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
+  let f = Exec.begin_ c spec in
+  let site = f.site in
   (* Optimistic local execution: no locks. Reads capture the version
      observed (the validation evidence), writes are buffered. *)
   let reads = ref [] in
@@ -238,45 +179,37 @@ let submit t (spec : Txn.spec) =
       | Txn.Read item ->
           let v = Store.read c.stores.(site) item in
           reads := (item, v.Value.version) :: !reads;
-          History.record c.history ~site ~item ~gid ~attempt ~version:v.Value.version History.R
+          History.record c.history ~site ~item ~gid:f.gid ~attempt:f.attempt
+            ~version:v.Value.version History.R
       | Txn.Write _ -> ())
     spec.ops;
   let reads = List.rev !reads in
-  let writes = List.sort_uniq compare (Txn.writes spec) in
-  let abort reason =
-    History.discard_attempt c.history ~attempt;
-    Cluster.trace_txn_abort c ~gid ~site reason;
-    Txn.Aborted reason
-  in
-  if Sim.now c.sim >= deadline_at then begin
-    Cluster.trace_txn_deadline c ~gid ~site;
-    abort Txn.Deadline_exceeded
-  end
+  if Sim.now c.sim >= f.deadline_at then Exec.abort f Txn.Deadline_exceeded
   else if
     site <> validator_site && not (Network.reachable t.net ~src:site ~dst:validator_site)
   then
     (* Fail fast instead of parking a batch against a partition. *)
-    abort Txn.Partitioned
+    Exec.abort f Txn.Partitioned
   else begin
-    let t0 = Sim.now c.sim in
+    let gid = f.gid in
     let outcome =
-      Sim.suspend (fun resume ->
-          t.queues.(site) := { gid; reads; writes; deliver = resume } :: !(t.queues.(site));
-          if deadline_at < infinity then
-            Sim.at c.sim deadline_at (fun () ->
-                (* Still buffered: withdraw, the validator never saw it. Once
-                   flushed the system decides — a late verdict is ignored by
-                   the one-shot resume and winners apply server-side. *)
-                t.queues.(site) := List.filter (fun p -> p.gid <> gid) !(t.queues.(site));
-                resume `Deadline))
+      Exec.prop_wait f (fun () ->
+          Sim.suspend (fun resume ->
+              t.queues.(site) :=
+                { gid; reads; writes = f.writes; deliver = resume } :: !(t.queues.(site));
+              if f.deadline_at < infinity then
+                Sim.at c.sim f.deadline_at (fun () ->
+                    (* Still buffered: withdraw, the validator never saw it.
+                       Once flushed the system decides — a late verdict is
+                       ignored by the one-shot resume and winners apply
+                       server-side. *)
+                    t.queues.(site) := List.filter (fun p -> p.gid <> gid) !(t.queues.(site));
+                    resume `Deadline)))
     in
-    Cluster.span_add c ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
     match outcome with
     | `Committed -> Txn.Committed
-    | `Validation_failed -> abort Txn.Validation_failed
-    | `Deadline ->
-        Cluster.trace_txn_deadline c ~gid ~site;
-        abort Txn.Deadline_exceeded
+    | `Validation_failed -> Exec.abort f Txn.Validation_failed
+    | `Deadline -> Exec.abort f Txn.Deadline_exceeded
   end
 
 (* The cluster drains (no active transactions, nothing in flight) before a

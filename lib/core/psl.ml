@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Lock_mgr = Repdb_lock.Lock_mgr
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
@@ -37,10 +36,7 @@ let serve_read t site ~src ~item ~owner ~reply =
   | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> respond false
 
 let server t site =
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
+  Exec.serve t.net site (fun ~src -> function
     | Read_request { item; owner; reply } ->
         Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~owner ~reply)
     | Read_reply { granted; deliver } ->
@@ -50,10 +46,7 @@ let server t site =
         Sim.spawn t.c.sim (fun () ->
             Cluster.use_cpu t.c site t.c.params.cpu_msg;
             Lock_mgr.release_all t.c.locks.(site) ~owner;
-            Cluster.dec_outstanding t.c));
-    loop ()
-  in
-  loop ()
+            Cluster.dec_outstanding t.c))
 
 let describe_msg = function
   | Read_request _ -> ("read-request", 24)
@@ -63,10 +56,7 @@ let describe_msg = function
 let create (c : Cluster.t) =
   let net = Cluster.make_net ~describe:describe_msg c in
   let t = { c; net; remote = 0 } in
-  let cat = Cluster.profile_cat c "server" in
-  for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> server t site)
-  done;
+  Exec.spawn_servers c (fun site -> [ (fun () -> server t site) ]);
   t
 
 (* Blocking remote read: ask the primary for the shared lock and the current
@@ -87,90 +77,66 @@ let remote_read t ~site ~primary ~item ~owner ~deadline_at =
           (Read_request
              { item; owner; reply = (fun granted -> resume (if granted then `Granted else `Denied)) }))
 
+(* PSL locks span sites, so the gid doubles as the attempt/lock-owner id;
+   remote primaries record history under it directly. Remote primaries hold
+   shared locks until the commit or abort releases them. *)
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let deadline_at = Cluster.deadline_at c in
-  (* PSL locks span sites, so the gid doubles as the attempt/lock-owner id;
-     remote primaries record history under it directly. *)
-  let gid = Cluster.fresh_gid c in
-  let attempt = gid in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
   let remote_sites = Hashtbl.create 4 in
-  let cleanup_remote () =
+  let release_remote (f : Exec.frame) =
     Hashtbl.iter
       (fun primary () ->
         Cluster.inc_outstanding c;
-        Network.send t.net ~src:site ~dst:primary (Release { owner = attempt }))
+        Network.send t.net ~src:f.site ~dst:primary (Release { owner = f.attempt }))
       remote_sites
   in
-  let rec run = function
-    | [] -> Ok ()
-    | op :: rest -> (
-        match op with
-        | Txn.Write _ -> (
-            match Exec.run_ops c ~gid ~attempt ~site [ op ] with
-            | Ok () -> run rest
-            | Error reason -> Error reason)
-        | Txn.Read item ->
-            let primary = c.placement.primary.(item) in
-            if primary = site then (
-              match Exec.run_ops c ~gid ~attempt ~site [ op ] with
-              | Ok () -> run rest
-              | Error reason -> Error reason)
-            else begin
-              let stale =
-                if
-                  c.params.stale_reads > 0.0
-                  && not (Network.reachable t.net ~src:site ~dst:primary)
-                then Some (Cluster.staleness c ~site ~item)
-                else None
-              in
-              match stale with
-              | Some staleness when staleness <= c.params.stale_reads ->
-                  (* Graceful degradation: the primary is on the other side of
-                     a partition and the local copy is within the staleness
-                     bound — serve the read locally, outside the 1SR guarantee
-                     (no lock, no history record). *)
-                  Cluster.use_cpu c site c.params.cpu_op;
-                  ignore (Store.read c.stores.(site) item);
-                  Cluster.record_stale_read c ~site ~item ~staleness;
-                  run rest
-              | _ -> (
-                  Hashtbl.replace remote_sites primary ();
-                  (* The round-trip to the primary is the PSL propagation
-                     wait: lock-grant latency shows up at the reader. *)
-                  let t0 = Sim.now c.sim in
-                  let reply = remote_read t ~site ~primary ~item ~owner:attempt ~deadline_at in
-                  Cluster.span_add c ~owner:attempt Repdb_obs.Span.Prop_wait
-                    (Sim.now c.sim -. t0);
-                  match reply with
-                  | `Granted ->
-                      Cluster.use_cpu c site c.params.cpu_msg;
-                      run rest
-                  | `Denied -> Error Txn.Remote_denied
-                  | `Deadline ->
-                      Cluster.trace_txn_deadline c ~gid ~site;
-                      Error Txn.Deadline_exceeded)
-            end)
+  let run (f : Exec.frame) =
+    let site = f.site in
+    let local op = Exec.run_ops c ~gid:f.gid ~attempt:f.attempt ~site [ op ] in
+    let rec go = function
+      | [] -> Ok ()
+      | (Txn.Write _ as op) :: rest -> (match local op with Ok () -> go rest | e -> e)
+      | (Txn.Read item as op) :: rest ->
+          let primary = c.placement.primary.(item) in
+          if primary = site then (match local op with Ok () -> go rest | e -> e)
+          else begin
+            let stale =
+              if c.params.stale_reads > 0.0 && not (Network.reachable t.net ~src:site ~dst:primary)
+              then Some (Cluster.staleness c ~site ~item)
+              else None
+            in
+            match stale with
+            | Some staleness when staleness <= c.params.stale_reads ->
+                (* Graceful degradation: the primary is on the other side of
+                   a partition and the local copy is within the staleness
+                   bound — serve the read locally, outside the 1SR guarantee
+                   (no lock, no history record). *)
+                Cluster.use_cpu c site c.params.cpu_op;
+                ignore (Store.read c.stores.(site) item);
+                Cluster.record_stale_read c ~site ~item ~staleness;
+                go rest
+            | _ -> (
+                Hashtbl.replace remote_sites primary ();
+                (* The round-trip to the primary is the PSL propagation
+                   wait: lock-grant latency shows up at the reader. *)
+                match
+                  Exec.prop_wait f (fun () ->
+                      remote_read t ~site ~primary ~item ~owner:f.attempt
+                        ~deadline_at:f.deadline_at)
+                with
+                | `Granted ->
+                    Cluster.use_cpu c site c.params.cpu_msg;
+                    go rest
+                | `Denied -> Error Txn.Remote_denied
+                | `Deadline -> Error Txn.Deadline_exceeded)
+          end
+    in
+    go spec.ops
   in
-  match run spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      cleanup_remote ();
-      Cluster.trace_txn_abort c ~gid ~site reason;
-      Txn.Aborted reason
-  | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost ~owner:attempt c ~site;
-      Exec.apply_writes c ~gid ~site writes;
-      Cluster.trace_txn_commit c ~gid ~site;
-      Exec.release c ~attempt ~site;
-      cleanup_remote ();
-      if Hashtbl.length remote_sites > 0 then
-        Cluster.use_cpu c site (float_of_int (Hashtbl.length remote_sites) *. c.params.cpu_msg);
-      Txn.Committed
+  Exec.primary ~attempt_is_gid:true ~replicated:false c spec ~run ~cleanup:release_remote
+    ~publish:(fun f () ->
+      release_remote f;
+      Propagate.charge c ~site:f.site (Hashtbl.length remote_sites))
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)
 let reconfigure = Some ignore

@@ -29,27 +29,20 @@ let cyclic_safe : Protocol.t list =
     (module Ssi : Protocol.S);
   ]
 
-let dag_t_pipelined : Protocol.t =
+(* A registered protocol under another name with another constructor. *)
+let variant (type a) ~name:variant_name ~create:(variant_create : Cluster.t -> a)
+    (module P : Protocol.S with type t = a) : Protocol.t =
   (module struct
-    type t = Dag_t.t
+    include P
 
-    let name = "dag-t-mc"
-    let updates_replicas = true
-    let create = Dag_t.create_pipelined
-    let submit = Dag_t.submit
-    let reconfigure = Dag_t.reconfigure
-  end : Protocol.S)
+    let name = variant_name
+    let create = variant_create
+  end)
 
-let backedge_general : Protocol.t =
-  (module struct
-    type t = Backedge_proto.t
+let dag_t_pipelined = variant ~name:"dag-t-mc" ~create:Dag_t.create_pipelined (module Dag_t)
 
-    let name = "backedge-gen"
-    let updates_replicas = true
-    let create = Backedge_proto.create_general
-    let submit = Backedge_proto.submit
-    let reconfigure = Backedge_proto.reconfigure
-  end : Protocol.S)
+let backedge_general =
+  variant ~name:"backedge-gen" ~create:Backedge_proto.create_general (module Backedge_proto)
 
 let variants = [ backedge_general; dag_t_pipelined ]
 

@@ -25,6 +25,9 @@ val backedge_general : Protocol.t
     relaxation Section 3.2.3 alludes to. *)
 val dag_t_pipelined : Protocol.t
 
+(** The variants, kept out of {!all}: [[backedge_general; dag_t_pipelined]]. *)
+val variants : Protocol.t list
+
 (** [find name] — look up by {!Protocol.name}; includes "backedge-gen". *)
 val find : string -> Protocol.t option
 

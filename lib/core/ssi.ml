@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
@@ -8,7 +7,6 @@ module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
 module Tracker = Repdb_occ.Conflict_tracker
 module Placement = Repdb_workload.Placement
-module Span = Repdb_obs.Span
 
 let name = "ssi"
 let updates_replicas = true
@@ -47,59 +45,30 @@ type t = {
 (* Remote (available-copies) snapshot reads performed so far. *)
 let remote_reads t = t.remote
 
-let propagate t ~site ~gid ~commit_ts vwrites =
-  let c = t.c in
-  let dests = Hashtbl.create 4 in
-  List.iter
-    (fun (item, _) ->
-      Array.iter
-        (fun s -> if s <> site then Hashtbl.replace dests s ())
-        c.placement.replicas.(item))
-    vwrites;
-  let now = Sim.now c.sim in
-  Hashtbl.iter
-    (fun dst () ->
-      Cluster.inc_outstanding c;
-      Network.send t.update_net ~src:site ~dst
-        {
-          u_gid = gid;
-          u_writes = vwrites;
-          u_commit_ts = commit_ts;
-          u_origin_commit = now;
-          u_epoch = c.config_epoch;
-        })
-    dests;
-  if Hashtbl.length dests > 0 then
-    Cluster.use_cpu c site (float_of_int (Hashtbl.length dests) *. c.params.cpu_msg)
-
-(* Install a certified transaction at its origin primary. Runs server-side
-   (the certifier's replies are FIFO and this site is the single primary of
-   everything in [vwrites]), so versions apply in certification order even
-   when the waiting client already gave up on its deadline. *)
+(* Install a certified transaction at its origin primary and fan it out.
+   Runs server-side (the certifier's replies are FIFO and this site is the
+   single primary of everything in [vwrites]), so versions apply in
+   certification order even when the waiting client already gave up on its
+   deadline. *)
 let apply_commit t ~site ~gid ~commit_ts vwrites =
   let c = t.c in
-  Cluster.use_cpu c site c.params.cpu_commit;
-  if vwrites <> [] then begin
-    let attempt = Cluster.fresh_attempt c in
-    List.iter
-      (fun (item, version) ->
-        Store.apply c.stores.(site) item ~writer:gid ();
-        assert ((Store.read c.stores.(site) item).Value.version = version);
-        Mvstore.append t.mv.(site) ~item ~version ~commit_ts;
-        Cluster.note_apply c ~site ~item;
-        History.record c.history ~site ~item ~gid ~attempt ~version History.W)
-      vwrites;
-    Cluster.note_destined c ~items:(List.map fst vwrites)
-  end;
-  Cluster.trace_txn_commit c ~gid ~site;
-  if vwrites <> [] then propagate t ~site ~gid ~commit_ts vwrites
+  Exec.commit_certified c ~gid ~site vwrites ~on_apply:(fun item version ->
+      Mvstore.append t.mv.(site) ~item ~version ~commit_ts);
+  let u =
+    {
+      u_gid = gid;
+      u_writes = vwrites;
+      u_commit_ts = commit_ts;
+      u_origin_commit = Sim.now c.sim;
+      u_epoch = c.config_epoch;
+    }
+  in
+  Propagate.fan_out c ~site (List.map fst vwrites) (fun dst ->
+      Network.send t.update_net ~src:site ~dst u)
 
 let server t site =
   let c = t.c in
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
+  Exec.serve t.net site (fun ~src -> function
     | Snap_request { item; ts; gid; attempt; reply } ->
         Cluster.use_cpu c site c.params.cpu_msg;
         let version =
@@ -126,39 +95,18 @@ let server t site =
         (match verdict with
         | Tracker.Commit { commit_ts; writes } -> apply_commit t ~site ~gid ~commit_ts writes
         | Tracker.Abort _ -> ());
-        deliver verdict);
-    loop ()
-  in
-  loop ()
+        deliver verdict)
 
 let update_applier t site =
   let c = t.c in
-  let inbox = Network.inbox t.update_net site in
-  let rec loop () =
-    let _, u = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    assert (u.u_epoch = c.config_epoch);
-    let local = Routing.local_replicas c.placement site (List.map fst u.u_writes) in
-    if local <> [] then begin
-      let attempt = Cluster.fresh_attempt c in
-      List.iter
-        (fun (item, version) ->
-          if List.mem item local then begin
-            Store.apply c.stores.(site) item ~writer:u.u_gid ();
-            assert ((Store.read c.stores.(site) item).Value.version = version);
-            Mvstore.append t.mv.(site) ~item ~version ~commit_ts:u.u_commit_ts;
-            Cluster.note_apply c ~site ~item;
-            History.record c.history ~site ~item ~gid:u.u_gid ~attempt ~version History.W
-          end)
-        u.u_writes;
-      Cluster.trace_secondary_commit c ~gid:u.u_gid ~site;
-      Cluster.record_propagation c ~gid:u.u_gid ~site
-        ~delay:(Sim.now c.sim -. u.u_origin_commit)
-    end;
-    Cluster.dec_outstanding c;
-    loop ()
-  in
-  loop ()
+  Exec.serve t.update_net site (fun ~src:_ u ->
+      Propagate.receive c ~site ~epoch:u.u_epoch ~gid:u.u_gid ~origin_commit:u.u_origin_commit
+        ~install:(fun local ->
+          Exec.apply_versioned c ~gid:u.u_gid ~site
+            (List.filter (fun (item, _) -> List.mem item local) u.u_writes)
+            ~on_apply:(fun item version ->
+              Mvstore.append t.mv.(site) ~item ~version ~commit_ts:u.u_commit_ts))
+        (List.map fst u.u_writes))
 
 let describe_msg = function
   | Snap_request _ -> ("snap-request", 24)
@@ -182,11 +130,8 @@ let create (c : Cluster.t) =
       remote = 0;
     }
   in
-  let cat = Cluster.profile_cat c "server" in
-  for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> server t site);
-    Sim.spawn ~cat c.sim (fun () -> update_applier t site)
-  done;
+  Exec.spawn_servers c (fun site ->
+      [ (fun () -> server t site); (fun () -> update_applier t site) ]);
   t
 
 (* Available-copies snapshot read: the local chain could not serve the
@@ -229,12 +174,8 @@ let remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at =
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let deadline_at = Cluster.deadline_at c in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
+  let f = Exec.begin_ c spec in
+  let site = f.site and gid = f.gid and attempt = f.attempt and deadline_at = f.deadline_at in
   let begin_ts = Sim.now c.sim in
   (* Register with the certifier's GC window. Modelled as piggybacked
      metadata (no message): it only bounds what the tracker may forget. *)
@@ -242,12 +183,7 @@ let submit t (spec : Txn.spec) =
   (* Abort on a path where certification will never run for this gid, so the
      registration must be withdrawn here. After the certify message is sent,
      [Tracker.certify] deregisters — even if the client stops waiting. *)
-  let abort reason =
-    Tracker.forget t.tracker ~gid;
-    History.discard_attempt c.history ~attempt;
-    Cluster.trace_txn_abort c ~gid ~site reason;
-    Txn.Aborted reason
-  in
+  let abort reason = Exec.abort f reason ~cleanup:(fun () -> Tracker.forget t.tracker ~gid) in
   let rec run reads = function
     | [] -> Ok (List.rev reads)
     | Txn.Write _ :: rest ->
@@ -260,74 +196,60 @@ let submit t (spec : Txn.spec) =
             History.record c.history ~site ~item ~gid ~attempt ~version:v History.R;
             run ((item, v) :: reads) rest
         | None -> (
-            let t0 = Sim.now c.sim in
-            let r = remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at in
-            Cluster.span_add c ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
-            match r with
+            match
+              Exec.prop_wait f (fun () ->
+                  remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at)
+            with
             | `Got v -> run ((item, v) :: reads) rest
             | `Exhausted ->
                 (* No available copy retains the snapshot version. *)
                 Error Txn.Validation_failed
             | `Unreachable -> Error Txn.Partitioned
-            | `Deadline ->
-                Cluster.trace_txn_deadline c ~gid ~site;
-                Error Txn.Deadline_exceeded))
+            | `Deadline -> Error Txn.Deadline_exceeded))
   in
   match run [] spec.ops with
   | Error reason -> abort reason
   | Ok reads -> (
-      let writes = List.sort_uniq compare (Txn.writes spec) in
-      let txn = { Tracker.gid; begin_ts; reads; writes } in
-      if Sim.now c.sim >= deadline_at then begin
-        Cluster.trace_txn_deadline c ~gid ~site;
-        abort Txn.Deadline_exceeded
-      end
+      let txn = { Tracker.gid; begin_ts; reads; writes = f.writes } in
+      if Sim.now c.sim >= deadline_at then abort Txn.Deadline_exceeded
       else if
         site <> certifier_site && not (Network.reachable t.net ~src:site ~dst:certifier_site)
       then abort Txn.Partitioned
-      else begin
-        let t0 = Sim.now c.sim in
+      else
         let verdict =
-          if site = certifier_site then begin
-            Cluster.use_cpu c site c.params.cpu_op;
-            let v = Tracker.certify t.tracker ~now:(Sim.now c.sim) txn in
-            (match v with
-            | Tracker.Commit { commit_ts; writes } -> apply_commit t ~site ~gid ~commit_ts writes
-            | Tracker.Abort _ -> ());
-            `Verdict v
-          end
-          else begin
-            Cluster.use_cpu c site c.params.cpu_msg;
-            Sim.suspend (fun resume ->
-                Cluster.inc_outstanding c;
-                if deadline_at < infinity then
-                  Sim.at c.sim deadline_at (fun () -> resume `Deadline);
-                Network.send t.net ~src:site ~dst:certifier_site
-                  (Certify { txn; reply = (fun v -> resume (`Verdict v)) }))
-          end
+          Exec.prop_wait f (fun () ->
+              if site = certifier_site then begin
+                Cluster.use_cpu c site c.params.cpu_op;
+                let v = Tracker.certify t.tracker ~now:(Sim.now c.sim) txn in
+                (match v with
+                | Tracker.Commit { commit_ts; writes } ->
+                    apply_commit t ~site ~gid ~commit_ts writes
+                | Tracker.Abort _ -> ());
+                `Verdict v
+              end
+              else begin
+                Cluster.use_cpu c site c.params.cpu_msg;
+                Sim.suspend (fun resume ->
+                    Cluster.inc_outstanding c;
+                    if deadline_at < infinity then
+                      Sim.at c.sim deadline_at (fun () -> resume `Deadline);
+                    Network.send t.net ~src:site ~dst:certifier_site
+                      (Certify { txn; reply = (fun v -> resume (`Verdict v)) }))
+              end)
         in
-        Cluster.span_add c ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
         match verdict with
         | `Verdict (Tracker.Commit _) -> Txn.Committed
         | `Verdict (Tracker.Abort cause) ->
-            let reason =
-              match cause with
+            Exec.abort f
+              (match cause with
               | Tracker.Stale_read -> Txn.Validation_failed
               | Tracker.Ww_conflict -> Txn.First_committer_lost
-              | Tracker.Dangerous -> Txn.Dangerous_structure
-            in
-            History.discard_attempt c.history ~attempt;
-            Cluster.trace_txn_abort c ~gid ~site reason;
-            Txn.Aborted reason
+              | Tracker.Dangerous -> Txn.Dangerous_structure)
         | `Deadline ->
             (* The certifier will still process the request; it deregisters
                the gid and a certified winner applies server-side. Only the
                client-side reads are withdrawn. *)
-            Cluster.trace_txn_deadline c ~gid ~site;
-            History.discard_attempt c.history ~attempt;
-            Cluster.trace_txn_abort c ~gid ~site Txn.Deadline_exceeded;
-            Txn.Aborted Txn.Deadline_exceeded
-      end)
+            Exec.abort f Txn.Deadline_exceeded)
 
 (* After an epoch switch the placement changed under the version chains:
    drop chains for copies no longer here and seed fresh chains (at the

@@ -6,7 +6,8 @@
    - PSL sends no propagation traffic at all (replicas stay virtual);
    - BackEdge participants hold their staged locks across the primary
      commit (stage <= primary commit <= decide, per gid and site);
-   - DAG(T) epochs advance monotonically at every site. *)
+   - DAG(T) epochs advance monotonically at every site;
+   - every protocol that updates replicas reports the same telemetry. *)
 
 module Trace = Repdb_obs.Trace
 module Event = Repdb_obs.Event
@@ -373,6 +374,41 @@ let test_trace_off_by_default () =
   let c = Stats.counter r.site_stats "txn.commit" in
   checki "stats still collected" r.summary.commits (Stats.counter_total c)
 
+(* Telemetry parity: every protocol that physically updates replicas reports
+   one phase span per attempt, a non-empty propagation-delay histogram, and a
+   lag timeline that rises while updates are in flight and drains to zero
+   once the run is quiescent. *)
+let test_telemetry_parity () =
+  let params = { quick_params with Params.timeline_every = 5.0 } in
+  let total (r : Driver.report) name =
+    let h = Stats.histogram r.site_stats name in
+    List.fold_left ( + ) 0
+      (List.init params.n_sites (fun site -> Stats.histogram_count h ~site))
+  in
+  let gaps (module P : Repdb.Protocol.S) =
+    let r = Driver.run params (module P) in
+    let rows = match r.timeline with Some tl -> Repdb_obs.Timeline.rows tl | None -> [] in
+    let lags = List.map (fun row -> row.Repdb_obs.Timeline.r_lag) rows in
+    List.filter_map
+      (fun (ok, gap) -> if ok then None else Some (P.name ^ ": " ^ gap))
+      [
+        (total r "span.exec" = r.summary.commits + r.summary.aborts, "span.exec# <> attempts");
+        (total r "prop.delay" > 0, "no prop.delay");
+        (List.exists (Array.exists (fun l -> l > 0.0)) lags, "lag never rises");
+        ( (match List.rev lags with
+          | last :: _ -> Array.for_all (fun l -> l = 0.0) last
+          | [] -> false),
+          "lag not drained at the last sample" );
+      ]
+  in
+  let replicating =
+    List.filter
+      (fun (module P : Repdb.Protocol.S) -> P.updates_replicas)
+      (Repdb.Registry.all @ Repdb.Registry.variants)
+  in
+  checki "every replicating protocol checked" 11 (List.length replicating);
+  Alcotest.(check (list string)) "telemetry gaps" [] (List.concat_map gaps replicating)
+
 let () =
   Alcotest.run "obs"
     [
@@ -405,5 +441,6 @@ let () =
           Alcotest.test_case "backedge eager lock span" `Quick test_backedge_eager_lock_span;
           Alcotest.test_case "dag-t epoch monotone" `Quick test_dagt_epoch_monotone;
           Alcotest.test_case "trace off by default" `Quick test_trace_off_by_default;
+          Alcotest.test_case "telemetry parity" `Quick test_telemetry_parity;
         ] );
     ]
