@@ -290,6 +290,35 @@ let test_sweep_heal_deterministic_across_pools () =
   in
   checks "sequential = pooled" seq par
 
+let test_failover_mean_counts_switches () =
+  (* A low φ threshold makes false suspicions whose failover attempts
+     promote nothing; only the executed switches may enter the mean. *)
+  let params =
+    {
+      Params.default with
+      backedge_prob = 0.0;
+      txns_per_thread = 200;
+      heal = true;
+      txn_deadline = 400.0;
+      retry = Params.default_backoff;
+      phi_threshold = 2.0;
+      faults = parse "crash@400:site=1,down=800;corrupt@600:site=2,p=0.3";
+    }
+  in
+  let r = Driver.run ~trace:true params (module Repdb.Psl : Repdb.Protocol.S) in
+  let h = heal_of r in
+  let switched = ref [] and idle = ref 0 in
+  Repdb_obs.Trace.iter r.trace (fun e ->
+      match e.kind with
+      | Repdb_obs.Event.Failover_done { promoted; duration; _ } ->
+          if promoted > 0 then switched := duration :: !switched else incr idle
+      | _ -> ());
+  checkb "some attempts promoted nothing" true (!idle > 0);
+  checki "failovers = switching attempts" (List.length !switched) h.failovers;
+  checkf "failover mean over switches only"
+    (List.fold_left ( +. ) 0.0 !switched /. float_of_int (List.length !switched))
+    h.failover_mean
+
 (* --- crash mid reconfiguration state transfer -------------------------------- *)
 
 let test_crash_mid_state_transfer () =
@@ -427,6 +456,8 @@ let () =
           Alcotest.test_case "sweep deterministic across pools" `Quick
             test_sweep_heal_deterministic_across_pools;
           Alcotest.test_case "crash mid state transfer" `Quick test_crash_mid_state_transfer;
+          Alcotest.test_case "failover mean counts switches" `Quick
+            test_failover_mean_counts_switches;
         ] );
       (* Pinned RNG: every chaos schedule is a full simulation, so keep the
          drawn inputs identical from run to run (each input is itself
