@@ -10,6 +10,8 @@ module Network = Repdb_net.Network
 module Batcher = Repdb_net.Batcher
 module Placement = Repdb_workload.Placement
 module Txn = Repdb_txn.Txn
+module Trace = Repdb_obs.Trace
+module Event = Repdb_obs.Event
 
 let name = "backedge"
 let updates_replicas = true
@@ -235,8 +237,10 @@ let tree_applier t site =
           (match msg with
           | Normal { gid; _ } ->
               Propagate.dequeued t.c ~site ~gid;
-              Cluster.trace_queue_depth t.c ~site ~queue:"tree"
-                ~depth:(Mailbox.length (Network.inbox t.tree_net site))
+              if Trace.on t.c.trace then
+                Trace.record t.c.trace
+                  (Event.Queue_depth
+                     { site; queue = "tree"; depth = Mailbox.length (Network.inbox t.tree_net site) })
           | Special _ -> ());
           process_tree_msg t site msg))
 

@@ -34,7 +34,6 @@ type t = {
   rng : Rng.t;
   mutable next_gid : int;
   mutable next_attempt : int;
-  mutable messages : int;
   mutable outstanding : int;
   mutable clients_running : int;
   mutable stopped : bool;
@@ -43,8 +42,6 @@ type t = {
   wals : Wal.t array; (* one per site when faults are on; [||] otherwise *)
   site_up : bool array;
   up_cv : Condvar.t array; (* broadcast when the site restarts *)
-  mutable crashes : int;
-  mutable partitions : int; (* partition windows that have activated *)
   (* Per-transaction deadline handoff: the client arms it immediately before
      [submit] and the protocol reads it at entry — no blocking point in
      between, so the field never mixes transactions. Infinity = no deadline. *)
@@ -52,16 +49,13 @@ type t = {
   (* [site][item] -> simulated time of the last locally applied write; feeds
      the staleness of partition-time local reads. *)
   apply_mtime : float array array;
-  stale_ctr : Stats.counter option; (* registered only when stale reads are on *)
+  stale_hist : Stats.histogram option; (* registered only when stale reads are on *)
   (* Online reconfiguration (all idle unless [params.reconfig] is non-empty) *)
   mutable config_epoch : int;
   mutable reconfiguring : bool;
   mutable active_txns : int;
   drained : Condvar.t; (* broadcast when active_txns = outstanding = 0 *)
   resume : Condvar.t; (* broadcast when the epoch switch completes *)
-  mutable reconfigs : int;
-  mutable state_transfers : int;
-  mutable stall_total : float;
   switch_hist : Stats.histogram option;
   stall_hist : Stats.histogram option;
   (* Observability: phase spans, self-profiler, and the sampled timeline. *)
@@ -87,12 +81,14 @@ type t = {
   corrupted : (int * int, unit) Hashtbl.t;
       (* (site, item) replica copies silently scrambled by a corrupt@ fault
          clause and not yet repaired; recovery and anti-entropy clear marks. *)
-  mutable corruption_events : int;
-  mutable corrupt_items : int; (* copies scrambled, cumulative *)
   mutable phi_fn : (unit -> float array) option; (* healer's detector sample *)
   stale_drop_ctr : Stats.counter option; (* "heal.stale_drop", heal only *)
   corrupt_ctr : Stats.counter option; (* "corrupt.items", heal only *)
 }
+
+(* A healer failover rewires the tree just like an operator plan does, so
+   heal runs provision for mid-run placement changes too. *)
+let placement_can_change (p : Params.t) = not (Reconfig.is_empty p.reconfig) || p.heal
 
 let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) placement =
   Params.validate params;
@@ -119,13 +115,11 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
      ranks: every lock a protocol takes at a site is for an item placed there,
      so the table holds |placed| entries instead of max-item-id — the
      difference between megabytes and gigabytes at 200 sites x 100k items.
-     Under a reconfiguration plan new items can appear at a site mid-run, so
-     the identity map (grow-on-demand) is kept. *)
+     When the placement can change, new items can appear at a site mid-run
+     (an added replica, a promoted primary), so the identity map
+     (grow-on-demand) is kept. *)
   let locks =
-    (* Healing can promote primaries (and so move items' lock sites) at a
-       failover epoch switch, so it needs the grow-on-demand identity map
-       just like an operator reconfiguration plan. *)
-    let static = Reconfig.is_empty params.reconfig && not params.heal in
+    let static = not (placement_can_change params) in
     Array.init m (fun site ->
         let remap =
           if static then
@@ -170,14 +164,13 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
     locks;
     cpus;
     history = History.create ~enabled:params.record_history ~n_sites:m ();
-    metrics = Metrics.create ~n_sites:m ();
+    metrics = Metrics.create ();
     trace = tr;
     stats;
     prop_hist = Stats.histogram stats "prop.delay";
     rng = Rng.create (params.seed * 31 + 7);
     next_gid = 0;
     next_attempt = 0;
-    messages = 0;
     outstanding = 0;
     clients_running = 0;
     stopped = false;
@@ -186,32 +179,28 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
     wals;
     site_up = Array.make m true;
     up_cv = Array.init m (fun _ -> Condvar.create ());
-    crashes = 0;
-    partitions = 0;
     deadline_at = infinity;
     (* Only materialized when bounded-staleness reads can consult it: m * n
        floats is 160 MB at 200 sites x 100k items. *)
     apply_mtime =
       (if params.stale_reads > 0.0 then Array.init m (fun _ -> Array.make params.n_items 0.0)
        else [||]);
-    stale_ctr =
-      (if params.stale_reads > 0.0 then Some (Stats.counter stats "read.stale") else None);
+    stale_hist =
+      (if params.stale_reads > 0.0 then Some (Stats.histogram stats "read.stale") else None);
     config_epoch = 0;
     reconfiguring = false;
     active_txns = 0;
     drained = Condvar.create ();
     resume = Condvar.create ();
-    reconfigs = 0;
-    state_transfers = 0;
-    stall_total = 0.0;
-    (* Registered only when a plan exists: [Stats.pp_table] prints every
-       registered histogram, so static-topology runs must not see these. *)
+    (* Registered only when the placement can change: [Stats.pp_table]
+       prints every registered histogram, so static-topology runs must not
+       see these. Operator plans switch; healer failovers stall clients too. *)
     switch_hist =
       (if Reconfig.is_empty params.reconfig then None
        else Some (Stats.histogram stats "reconfig.switch"));
     stall_hist =
-      (if Reconfig.is_empty params.reconfig then None
-       else Some (Stats.histogram stats "reconfig.stall"));
+      (if placement_can_change params then Some (Stats.histogram stats "reconfig.stall")
+       else None);
     spans;
     profile;
     timeline =
@@ -230,8 +219,6 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
     inflight_fns = [];
     inflight_matching_fns = [];
     corrupted = Hashtbl.create 16;
-    corruption_events = 0;
-    corrupt_items = 0;
     phi_fn = None;
     (* Registered only under healing: [Stats.pp_table] prints every
        registered counter, so heal-off stats tables are unchanged. *)
@@ -272,7 +259,6 @@ let track_inflight t ?total matching =
 let create_net ?arity ~describe t =
   let net =
     Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t) ?arity
-      ~on_send:(fun units -> t.messages <- t.messages + units)
       ~trace:t.trace ~describe ~stats:t.stats ?injector:t.injector ()
   in
   track_inflight t
@@ -314,7 +300,7 @@ let make_batcher t net =
       !parked);
   bat
 
-(* --- trace/metrics emission helpers (shared by the protocols) ------------- *)
+(* --- transaction lifecycle: phase span + trace ----------------------------- *)
 
 (* The txn begin/commit/abort helpers double as the span lifecycle hooks:
    the transaction frame ([Exec]) calls each exactly once per client
@@ -339,18 +325,6 @@ let span_add t ~owner phase dur = Span.add t.spans ~owner phase dur
 let span_think t ~site dur = Span.think t.spans ~site dur
 let spans t = t.spans
 
-let trace_secondary_recv t ~gid ~site =
-  if Trace.on t.trace then Trace.record t.trace (Event.Secondary_recv { gid; site })
-
-let trace_secondary_commit t ~gid ~site =
-  if Trace.on t.trace then Trace.record t.trace (Event.Secondary_commit { gid; site })
-
-let trace_queue_depth t ~site ~queue ~depth =
-  if Trace.on t.trace then Trace.record t.trace (Event.Queue_depth { site; queue; depth })
-
-let trace_txn_deadline t ~gid ~site =
-  if Trace.on t.trace then Trace.record t.trace (Event.Txn_deadline { gid; site })
-
 (* --- per-transaction deadlines -------------------------------------------- *)
 
 let arm_deadline t =
@@ -369,8 +343,7 @@ let staleness t ~site ~item =
   else Sim.now t.sim
 
 let record_stale_read t ~site ~item ~staleness =
-  Metrics.stale_read t.metrics ~staleness;
-  (match t.stale_ctr with Some c -> Stats.incr c ~site | None -> ());
+  Option.iter (fun h -> Stats.observe h ~site staleness) t.stale_hist;
   if Trace.on t.trace then Trace.record t.trace (Event.Stale_read { site; item; staleness })
 
 (* --- replication-lag bookkeeping ------------------------------------------ *)
@@ -396,10 +369,9 @@ let note_destined t ~items =
         items;
       Array.iteri (fun s seen -> if seen then t.lag_seen.(s) <- false) t.lag_seen
 
-(* Record a replica update everywhere it is accounted: the aggregate metric,
-   the per-site registry, and (when on) the trace. *)
+(* Record a replica update in the per-site registry and (when on) the
+   trace. *)
 let record_propagation t ~gid ~site ~delay =
-  Metrics.propagation t.metrics ~delay;
   Stats.observe t.prop_hist ~site delay;
   if t.timeline <> None then begin
     if t.lag_pending.(site) > 0 then t.lag_pending.(site) <- t.lag_pending.(site) - 1;
@@ -491,7 +463,7 @@ let await_site_up t site =
 
 let crash_site t ~site =
   t.site_up.(site) <- false;
-  t.crashes <- t.crashes + 1;
+  Stats.incr (Stats.counter t.stats "fault.crash") ~site;
   if Trace.on t.trace then Trace.record t.trace (Event.Site_crash { site })
 
 let recover_site t ~site ~downtime =
@@ -529,9 +501,7 @@ let recover_site t ~site ~downtime =
 
 (* --- online reconfiguration ----------------------------------------------- *)
 
-(* A healer failover rewires the tree just like an operator plan does, so
-   heal runs provision for mid-run placement changes too. *)
-let reconfig_planned t = not (Reconfig.is_empty t.params.reconfig) || t.params.heal
+let reconfig_planned t = placement_can_change t.params
 
 let txn_started t = t.active_txns <- t.active_txns + 1
 
@@ -605,22 +575,8 @@ let reconfig_barrier t ~site =
     while t.reconfiguring do
       Condvar.await t.resume
     done;
-    let stall = Sim.now t.sim -. t0 in
-    t.stall_total <- t.stall_total +. stall;
-    match t.stall_hist with Some h -> Stats.observe h ~site stall | None -> ()
+    Option.iter (fun h -> Stats.observe h ~site (Sim.now t.sim -. t0)) t.stall_hist
   end
-
-let trace_reconfig_begin t ~epoch =
-  if Trace.on t.trace then Trace.record t.trace (Event.Reconfig_begin { epoch })
-
-let trace_reconfig_switch t ~epoch ~duration =
-  if Trace.on t.trace then Trace.record t.trace (Event.Reconfig_switch { epoch; duration })
-
-let trace_reconfig_done t ~epoch ~duration =
-  if Trace.on t.trace then Trace.record t.trace (Event.Reconfig_done { epoch; duration })
-
-let trace_state_transfer t ~item ~src ~dst =
-  if Trace.on t.trace then Trace.record t.trace (Event.State_transfer { item; src; dst })
 
 (* Silently scramble replica copies at [site]: each non-primary copy is
    overwritten with probability [prob] via [Store.restore], which bypasses
@@ -642,17 +598,10 @@ let corrupt_site t ~site ~prob ~clause =
         incr n
       end)
     (Placement.placed_at t.placement site);
-  if !n > 0 then begin
-    t.corrupt_items <- t.corrupt_items + !n;
-    match t.corrupt_ctr with Some ctr -> Stats.add ctr ~site !n | None -> ()
-  end;
-  t.corruption_events <- t.corruption_events + 1;
+  Option.iter (fun ctr -> Stats.add ctr ~site !n) t.corrupt_ctr;
+  Stats.incr (Stats.counter t.stats "corrupt.events") ~site;
   if Trace.on t.trace then Trace.record t.trace (Event.Corrupt { site; items = !n })
 
-let corrupted_copies t = Hashtbl.length t.corrupted
-let corruption_count t = t.corruption_events
-let corrupt_items_total t = t.corrupt_items
-let is_corrupt t ~site ~item = Hashtbl.mem t.corrupted (site, item)
 let clear_corrupt t ~site ~item = Hashtbl.remove t.corrupted (site, item)
 
 let schedule_faults t =
@@ -678,13 +627,11 @@ let schedule_faults t =
         (fun (p : Fault.partition) ->
           let groups = Fault.string_of_groups p.groups in
           Sim.at t.sim p.from_t (fun () ->
-              t.partitions <- t.partitions + 1;
+              Stats.incr (Stats.counter t.stats "fault.partition") ~site:0;
               if Trace.on t.trace then Trace.record t.trace (Event.Partition_begin { groups }));
           Sim.at t.sim p.until_t (fun () ->
               if Trace.on t.trace then Trace.record t.trace (Event.Partition_heal { groups })))
         (Fault.schedule inj).partitions
 
-let crash_count t = t.crashes
-let partition_count t = t.partitions
 let profile t = t.profile
 let profile_cat t name = Profile.cat t.profile name

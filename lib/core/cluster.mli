@@ -2,9 +2,10 @@
 
     A cluster bundles the substrate a protocol runs on — simulation kernel,
     per-site stores and lock managers, per-machine CPUs, the data placement,
-    the access history and metric counters — plus the bookkeeping the driver
-    needs to detect quiescence (outstanding in-flight work, running clients,
-    the stop flag that shuts periodic processes down). *)
+    the access history and the {!Stats} registry where every count is
+    recorded — plus the bookkeeping the driver needs to detect quiescence
+    (outstanding in-flight work, running clients, the stop flag that shuts
+    periodic processes down). *)
 
 module Sim = Repdb_sim.Sim
 module Rng = Repdb_sim.Rng
@@ -35,14 +36,13 @@ type t = {
   locks : Lock_mgr.t array;
   cpus : Resource.t array;  (** One per machine; sites map round-robin. *)
   history : History.t;
-  metrics : Metrics.t;
+  metrics : Metrics.t;  (** Exact response samples and availability buckets. *)
   trace : Trace.t;  (** Structured event trace; disabled unless requested. *)
   stats : Stats.t;  (** Per-site counter/histogram registry; always on. *)
   prop_hist : Stats.histogram;  (** Propagation-delay histogram, per site. *)
   rng : Rng.t;  (** Workload stream; derived from [params.seed]. *)
   mutable next_gid : int;
   mutable next_attempt : int;
-  mutable messages : int;  (** Network messages sent, all networks combined. *)
   mutable outstanding : int;  (** In-flight messages / pending remote work. *)
   mutable clients_running : int;
   mutable stopped : bool;  (** Set once quiescent; periodic processes exit. *)
@@ -56,8 +56,6 @@ type t = {
           and fault-free runs never crash. *)
   site_up : bool array;
   up_cv : Condvar.t array;  (** Per-site; broadcast when the site restarts. *)
-  mutable crashes : int;  (** Crash events executed so far. *)
-  mutable partitions : int;  (** Partition windows activated so far. *)
   mutable deadline_at : float;
       (** Absolute deadline of the submit being started, armed by the client
           immediately before [submit]; protocols capture it at entry (there
@@ -66,9 +64,10 @@ type t = {
   apply_mtime : float array array;
       (** [site][item] — simulated time of the last write applied locally;
           the staleness clock for partition-time local reads. *)
-  stale_ctr : Stats.counter option;
-      (** ["read.stale"]; registered only when [params.stale_reads > 0], so
-          stats tables without the feature are unchanged. *)
+  stale_hist : Stats.histogram option;
+      (** ["read.stale"], the staleness of each partition-time local read;
+          registered only when [params.stale_reads > 0], so stats tables
+          without the feature are unchanged. *)
   mutable config_epoch : int;
       (** Configuration epoch; bumped once per executed reconfiguration
           step. Propagation messages carry the epoch they were routed under
@@ -79,14 +78,14 @@ type t = {
       (** Broadcast (while reconfiguring) when [active_txns] and
           [outstanding] both reach 0. *)
   resume : Condvar.t;  (** Broadcast when the epoch switch completes. *)
-  mutable reconfigs : int;  (** Reconfiguration steps executed so far. *)
-  mutable state_transfers : int;  (** Item values bulk-copied to new replicas. *)
-  mutable stall_total : float;  (** Total client stall at the barrier, ms. *)
   switch_hist : Stats.histogram option;
-      (** Drain + transfer + switch latency per step (["reconfig.switch"]);
-          registered only when a reconfiguration plan exists, so
-          static-topology stats tables are unchanged. *)
-  stall_hist : Stats.histogram option;  (** Per-site client stall times. *)
+      (** Drain + transfer + switch latency per executed operator step
+          (["reconfig.switch"], charged to site 0); registered only when a
+          reconfiguration plan exists, so static-topology stats tables are
+          unchanged. *)
+  stall_hist : Stats.histogram option;
+      (** Per-site client stall at the epoch barrier (["reconfig.stall"]);
+          registered iff {!reconfig_planned}. *)
   spans : Span.t;
       (** Transaction phase attribution (always on; registers the five
           [span.*] histograms in [stats]). *)
@@ -113,15 +112,14 @@ type t = {
   corrupted : (int * int, unit) Hashtbl.t;
       (** [(site, item)] replica copies scrambled by a [corrupt@] clause and
           not yet repaired; cleared by recovery and anti-entropy. *)
-  mutable corruption_events : int;  (** Corruption injections executed. *)
-  mutable corrupt_items : int;  (** Copies scrambled, cumulative. *)
   mutable phi_fn : (unit -> float array) option;
       (** Healer-installed sampler: per-site suspicion level for the
           timeline's φ column. *)
   stale_drop_ctr : Stats.counter option;
       (** ["heal.stale_drop"]; registered only when [params.heal]. *)
   corrupt_ctr : Stats.counter option;
-      (** ["corrupt.items"]; registered only when [params.heal]. *)
+      (** ["corrupt.items"], copies scrambled (cumulative; repairs do not
+          subtract); registered only when [params.heal]. *)
 }
 
 (** [create params] — build the cluster; the placement is drawn from a
@@ -150,10 +148,10 @@ val use_cpu : t -> int -> float -> unit
 val latency_fn : t -> int -> int -> float
 
 (** [make_net ~describe t] — a fresh network wired to the cluster's
-    simulation, latency, message counter, trace, stats registry and
-    in-flight accounting. Each protocol builds its own typed network(s);
-    [describe] tags traced messages with a kind and an approximate size in
-    bytes. *)
+    simulation, latency, trace, stats registry (whose [msg.sent] total is
+    the run's message count) and in-flight accounting. Each protocol builds
+    its own typed network(s); [describe] tags traced messages with a kind
+    and an approximate size in bytes. *)
 val make_net : describe:('a -> string * int) -> t -> 'a Repdb_net.Network.t
 
 (** [make_batch_net ~describe_one t] — a network carrying per-pair coalesced
@@ -170,20 +168,16 @@ val make_batch_net : describe_one:('a -> string * int) -> t -> 'a list Repdb_net
     included in the timeline's in-flight sample. *)
 val make_batcher : t -> 'a list Repdb_net.Network.t -> 'a Repdb_net.Batcher.t
 
-(** {1 Trace emission helpers}
+(** {1 Transaction lifecycle}
 
-    No-ops when the trace is disabled. The transaction and secondary
-    lifecycle events are emitted by the transaction frame ({!Exec},
-    {!Propagate}); [trace_txn_begin]/[commit]/[abort] also open and close
-    the attempt's phase span. *)
+    Emitted by the transaction frame ({!Exec}) once per client attempt:
+    each opens or closes the attempt's phase span and, when the trace is
+    on, records the matching event. Other events are recorded directly
+    with the [Trace.on]/[Trace.record] idiom. *)
 
 val trace_txn_begin : t -> gid:int -> site:int -> unit
 val trace_txn_commit : t -> gid:int -> site:int -> unit
 val trace_txn_abort : t -> gid:int -> site:int -> Repdb_txn.Txn.abort_reason -> unit
-val trace_secondary_recv : t -> gid:int -> site:int -> unit
-val trace_secondary_commit : t -> gid:int -> site:int -> unit
-val trace_queue_depth : t -> site:int -> queue:string -> depth:int -> unit
-val trace_txn_deadline : t -> gid:int -> site:int -> unit
 
 (** {1 Per-transaction deadlines} *)
 
@@ -204,12 +198,12 @@ val note_apply : t -> site:int -> item:int -> unit
 (** ms since [item] was last written at [site] (time itself if never). *)
 val staleness : t -> site:int -> item:int -> float
 
-(** Account a partition-time local read: metrics, the ["read.stale"] counter
-    and a [Stale_read] trace event. *)
+(** Account a partition-time local read: its staleness in the
+    ["read.stale"] histogram and a [Stale_read] trace event. *)
 val record_stale_read : t -> site:int -> item:int -> staleness:float -> unit
 
-(** Record a replica update in the aggregate metrics, the per-site
-    propagation-delay histogram and (when enabled) the trace; also advances
+(** Record a replica update in the per-site propagation-delay histogram
+    ([prop.delay]) and (when enabled) the trace; also advances
     the replication-lag bookkeeping when a timeline is being sampled. *)
 val record_propagation : t -> gid:int -> site:int -> delay:float -> unit
 
@@ -288,8 +282,8 @@ val site_up : t -> int -> bool
     Clients call this before starting each transaction. *)
 val await_site_up : t -> int -> unit
 
-(** Mark the site down and trace [Site_crash]. Driven by {!schedule_faults};
-    exposed for tests. *)
+(** Mark the site down, count it in ["fault.crash"] and trace
+    [Site_crash]. Driven by {!schedule_faults}; exposed for tests. *)
 val crash_site : t -> site:int -> unit
 
 (** Restart the site: rebuild the store with [Wal.recover], verify the
@@ -299,15 +293,10 @@ val crash_site : t -> site:int -> unit
 val recover_site : t -> site:int -> downtime:float -> unit
 
 (** Schedule every crash/restart in the fault schedule as simulation events,
-    plus counting/trace marks for each partition begin and heal; no-op
-    without an injector. The driver calls this before starting clients. *)
+    plus trace marks for each partition begin and heal and a
+    ["fault.partition"] count (charged to site 0) per begin; no-op without
+    an injector. The driver calls this before starting clients. *)
 val schedule_faults : t -> unit
-
-(** Crash events executed so far. *)
-val crash_count : t -> int
-
-(** Partition windows activated so far. *)
-val partition_count : t -> int
 
 (** {1 Online reconfiguration}
 
@@ -338,14 +327,9 @@ val txn_finished : t -> unit
 val await_drained : t -> unit
 
 (** Stall while an epoch switch is in progress; no-op otherwise. Records the
-    stall in [stall_hist] and [stall_total], charged to [site]. Clients call
-    this before generating each transaction. *)
+    stall in [stall_hist], charged to [site]. Clients call this before
+    generating each transaction. *)
 val reconfig_barrier : t -> site:int -> unit
-
-val trace_reconfig_begin : t -> epoch:int -> unit
-val trace_reconfig_switch : t -> epoch:int -> duration:float -> unit
-val trace_reconfig_done : t -> epoch:int -> duration:float -> unit
-val trace_state_transfer : t -> item:int -> src:int -> dst:int -> unit
 
 (** {1 Self-healing}
 
@@ -387,20 +371,10 @@ val set_phi_fn : t -> (unit -> float array) -> unit
 
 (** [corrupt_site t ~site ~prob ~clause] — scramble each replica copy at
     [site] with probability [prob] via the log-bypassing [Store.restore]
-    (primary copies are never touched). Deterministic in [(seed, clause)].
-    Driven by {!schedule_faults}; exposed for tests. *)
+    (primary copies are never touched), counting the event in
+    ["corrupt.events"] and the copies in ["corrupt.items"]. Deterministic in
+    [(seed, clause)]. Driven by {!schedule_faults}; exposed for tests. *)
 val corrupt_site : t -> site:int -> prob:float -> clause:int -> unit
-
-(** Scrambled copies not yet repaired. *)
-val corrupted_copies : t -> int
-
-(** Corruption injections executed so far. *)
-val corruption_count : t -> int
-
-(** Copies scrambled so far, cumulative (repairs do not subtract). *)
-val corrupt_items_total : t -> int
-
-val is_corrupt : t -> site:int -> item:int -> bool
 
 (** Clear a corruption mark (the healer repaired or re-verified the copy). *)
 val clear_corrupt : t -> site:int -> item:int -> unit

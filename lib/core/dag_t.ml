@@ -5,6 +5,8 @@ module Network = Repdb_net.Network
 module Batcher = Repdb_net.Batcher
 module Placement = Repdb_workload.Placement
 module Txn = Repdb_txn.Txn
+module Trace = Repdb_obs.Trace
+module Event = Repdb_obs.Event
 
 let name = "dag-t"
 let updates_replicas = true
@@ -249,9 +251,10 @@ let create_internal ~pipelined (c : Cluster.t) =
               match Hashtbl.find_opt st.queues src with
               | Some q ->
                   Queue.add msg q;
-                  Cluster.trace_queue_depth c ~site
-                    ~queue:(Printf.sprintf "parent:%d" src)
-                    ~depth:(Queue.length q);
+                  if Trace.on c.trace then
+                    Trace.record c.trace
+                      (Event.Queue_depth
+                         { site; queue = Printf.sprintf "parent:%d" src; depth = Queue.length q });
                   Condvar.broadcast st.arrivals
               | None -> invalid_arg "Dag_t: message from a non-parent site")
             batch))

@@ -5,6 +5,8 @@ module Network = Repdb_net.Network
 module Batcher = Repdb_net.Batcher
 module Placement = Repdb_workload.Placement
 module Txn = Repdb_txn.Txn
+module Trace = Repdb_obs.Trace
+module Event = Repdb_obs.Event
 
 let name = "dag-wt"
 let updates_replicas = true
@@ -43,8 +45,10 @@ let applier t site =
   Exec.serve t.net site (fun ~src:_ ->
       List.iter (fun (msg : msg) ->
           Propagate.dequeued t.c ~site ~gid:msg.gid;
-          Cluster.trace_queue_depth t.c ~site ~queue:"fifo"
-            ~depth:(Mailbox.length (Network.inbox t.net site));
+          if Trace.on t.c.trace then
+            Trace.record t.c.trace
+              (Event.Queue_depth
+                 { site; queue = "fifo"; depth = Mailbox.length (Network.inbox t.net site) });
           Propagate.receive t.c ~site ~epoch:msg.epoch ~gid:msg.gid ~origin_commit:msg.origin_commit
             ~forward:(fun () -> forward t site msg)
             msg.writes))

@@ -39,9 +39,7 @@ type report = {
 
 let client (c : Cluster.t) submit gen rng retry_rng ~site =
   let p = c.params in
-  let commit_ctr = Stats.counter c.stats "txn.commit"
-  and abort_ctr = Stats.counter c.stats "txn.abort"
-  and response_hist = Stats.histogram c.stats "response" in
+  let response_hist = Stats.histogram c.stats "response" in
   for _ = 1 to p.txns_per_thread do
     (* A crashed site accepts no new transactions; its clients pause until
        the restart broadcast. *)
@@ -69,15 +67,17 @@ let client (c : Cluster.t) submit gen rng retry_rng ~site =
       Cluster.txn_finished c;
       match outcome with
       | Txn.Committed ->
-          let response = Sim.now c.sim -. start in
-          Metrics.commit c.metrics ~site ~response;
-          Metrics.timeline_commit c.metrics ~at:(Sim.now c.sim);
-          Stats.incr commit_ctr ~site;
-          Stats.observe response_hist ~site response
+          let now = Sim.now c.sim in
+          let response = now -. start in
+          Stats.incr c.commit_ctr ~site;
+          Stats.observe response_hist ~site response;
+          Metrics.commit c.metrics ~at:now ~response
       | Txn.Aborted reason -> (
-          Metrics.abort c.metrics ~site reason;
-          Metrics.timeline_abort c.metrics ~at:(Sim.now c.sim);
-          Stats.incr abort_ctr ~site;
+          Stats.incr c.abort_ctr ~site;
+          (* Found or registered by name, so a stats table shows only the
+             reasons that occurred, in order of first occurrence. *)
+          Stats.incr (Stats.counter c.stats (Metrics.abort_counter_name reason)) ~site;
+          Metrics.abort c.metrics ~at:(Sim.now c.sim);
           match p.retry with
           | Params.No_retry -> ()
           | Params.Backoff { base; multiplier; cap; max_retries } ->
@@ -101,7 +101,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
   let p = c.params in
   (* Refuse unsupported combinations up front, before any simulation runs. *)
   let reconfig_hook : P.t -> unit =
-    if Repdb_reconfig.Reconfig.is_empty p.reconfig && not p.heal then fun _ -> ()
+    if not (Cluster.reconfig_planned c) then fun _ -> ()
     else
       match P.reconfigure with
       | Some f -> f
@@ -170,7 +170,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
       Heal_exec.final_sweep h;
       Sim.run c.sim);
   let heal_summary = Option.map Heal_exec.summary healer in
-  let summary = Metrics.summarize c.metrics ~n_sites:p.n_sites ~messages:c.messages in
+  let summary = Metrics.summarize c.metrics c.stats in
   (* Fold the end-of-run breakdown into the timeline metadata so `repdb
      report` can render it from the CSV alone. *)
   (match c.timeline with
@@ -201,19 +201,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
             ]
       in
       Timeline.set_meta tl (Timeline.meta tl @ aborts @ heal_meta));
-  let lock_stats =
-    Array.fold_left
-      (fun (acc : Lock_mgr.stats) lm ->
-        let s = Lock_mgr.stats lm in
-        {
-          Lock_mgr.acquires = acc.acquires + s.acquires;
-          waits = acc.waits + s.waits;
-          timeouts = acc.timeouts + s.timeouts;
-          deadlock_aborts = acc.deadlock_aborts + s.deadlock_aborts;
-        })
-      { Lock_mgr.acquires = 0; waits = 0; timeouts = 0; deadlock_aborts = 0 }
-      c.locks
-  in
+  let total = Stats.total c.stats in
   {
     protocol = P.name;
     params = p;
@@ -224,18 +212,23 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
     copy_graph_edges = Repdb_graph.Digraph.n_edges (Placement.copy_graph c.placement);
     n_backedges = List.length (Placement.backedges c.placement);
     n_replicas = Placement.n_replicas c.placement;
-    lock_stats;
+    lock_stats =
+      {
+        Lock_mgr.acquires = total "lock.acq";
+        waits = total "lock.wait";
+        timeouts = total "lock.tmo";
+        deadlock_aborts = total "lock.ddl";
+      };
     sim_events = Sim.events_executed c.sim;
     sim_time = Sim.now c.sim;
     trace = c.trace;
     site_stats = c.stats;
-    crashes = Cluster.crash_count c;
-    msg_drops =
-      (if Cluster.faulty c then Stats.counter_total (Stats.counter c.stats "msg.drop") else 0);
-    partitions = Cluster.partition_count c;
-    reconfigs = c.reconfigs;
-    state_transfers = c.state_transfers;
-    reconfig_stall = c.stall_total;
+    crashes = total "fault.crash";
+    msg_drops = total "msg.drop";
+    partitions = total "fault.partition";
+    reconfigs = Option.fold ~none:0 ~some:(Stats.histogram_count ~site:(-1)) c.switch_hist;
+    state_transfers = total "reconfig.transfer";
+    reconfig_stall = Option.fold ~none:0.0 ~some:(Stats.histogram_sum ~site:(-1)) c.stall_hist;
     heal = heal_summary;
     timeline = c.timeline;
     profile = c.profile;

@@ -22,28 +22,28 @@ type report = {
   copy_graph_edges : int;
   n_backedges : int;  (** Under the chain site order. *)
   n_replicas : int;
-  lock_stats : Repdb_lock.Lock_mgr.stats;  (** Summed over sites. *)
+  lock_stats : Repdb_lock.Lock_mgr.stats;  (** The [lock.*] counter totals. *)
   sim_events : int;
   sim_time : float;  (** ms at full quiescence. *)
   trace : Repdb_obs.Trace.t;
       (** The run's event trace; {!Repdb_obs.Trace.disabled} unless [run] was
           called with [~trace:true]. Export with {!Repdb_obs.Export}. *)
-  site_stats : Repdb_obs.Stats.t;  (** Per-site counters and histograms. *)
-  crashes : int;  (** Crash events injected and survived; 0 without faults. *)
-  msg_drops : int;
-      (** Dropped transmission attempts across all networks; 0 without
-          faults. *)
-  partitions : int;
-      (** Partition windows that activated during the run; 0 without
-          faults. *)
-  reconfigs : int;  (** Epoch switches executed; 0 without a reconfig plan. *)
-  state_transfers : int;  (** Item values bulk-copied to newly added replicas. *)
+  site_stats : Repdb_obs.Stats.t;
+      (** Per-site counters and histograms: the one record of every count.
+          [summary] and the fields below are read from it. *)
+  crashes : int;  (** ["fault.crash"]: crash events injected and survived. *)
+  msg_drops : int;  (** ["msg.drop"]: dropped transmission attempts. *)
+  partitions : int;  (** ["fault.partition"]: partition windows activated. *)
+  reconfigs : int;  (** ["reconfig.switch"] count: operator epoch switches. *)
+  state_transfers : int;
+      (** ["reconfig.transfer"]: item values bulk-copied to new replicas. *)
   reconfig_stall : float;
-      (** Total simulated ms clients spent stalled at the epoch barrier —
-          the run's aggregate mid-run throughput dip. *)
+      (** ["reconfig.stall"] sum: simulated ms clients spent stalled at the
+          epoch barrier (operator switches and healer failovers) — the
+          run's aggregate mid-run throughput dip. *)
   heal : Heal_exec.summary option;
-      (** Self-healing totals (suspicions, failovers, MTTR, repairs);
-          [Some] iff [params.heal]. *)
+      (** Self-healing totals, read from the registry; [Some] iff
+          [params.heal]. *)
   timeline : Repdb_obs.Timeline.t option;
       (** Fixed-interval telemetry samples; [Some] iff
           [params.timeline_every > 0]. Export with

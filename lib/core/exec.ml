@@ -5,6 +5,8 @@ module Lock_mgr = Repdb_lock.Lock_mgr
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
 module Span = Repdb_obs.Span
+module Trace = Repdb_obs.Trace
+module Event = Repdb_obs.Event
 
 let abort_reason_of_outcome = function
   | Lock_mgr.Timed_out -> Txn.Lock_timeout
@@ -86,7 +88,7 @@ let rec acquire_secondary ?(on_retry = ignore) c ~gid ~site items =
 
 let commit_secondary c ~gid ~site ~attempt items =
   apply_writes c ~gid ~site items;
-  Cluster.trace_secondary_commit c ~gid ~site;
+  if Trace.on c.trace then Trace.record c.trace (Event.Secondary_commit { gid; site });
   release c ~attempt ~site
 
 let apply_secondary ?on_retry c ~gid ~site items =
@@ -124,7 +126,8 @@ let prop_wait f wait =
 
 let abort_traced ~trace_first ?(cleanup = ignore) f reason =
   let { c; site; gid; attempt; _ } = f in
-  if reason = Txn.Deadline_exceeded then Cluster.trace_txn_deadline c ~gid ~site;
+  if reason = Txn.Deadline_exceeded && Trace.on c.trace then
+    Trace.record c.trace (Event.Txn_deadline { gid; site });
   if trace_first then Cluster.trace_txn_abort c ~gid ~site reason;
   abort_local c ~attempt ~site;
   cleanup ();

@@ -15,30 +15,34 @@
 
 type t
 
-(** End-of-run healing totals, embedded in {!Driver.report}. *)
+(** End-of-run healing totals, embedded in {!Driver.report}. Every field
+    but [incidents_open] is read from the cluster's stats registry under
+    the name given. *)
 type summary = {
-  suspicions : int;
+  suspicions : int;  (** ["detector.suspect"]. *)
   false_suspicions : int;
-      (** Suspected while actually up — partitions or scheduling jitter; a
-          false failover costs availability (one epoch switch), never
-          consistency. *)
-  failovers : int;  (** Epoch switches executed by the healer. *)
-  promoted_items : int;
-  rejoins : int;
-  repair_sessions : int;
-  repaired_items : int;  (** Values installed by [Repair] messages. *)
+      (** ["detector.false"]: suspected while actually up — partitions or
+          scheduling jitter; a false failover costs availability (one epoch
+          switch), never consistency. *)
+  failovers : int;
+      (** ["heal.failover"] count: epoch switches executed by the healer.
+          An attempt that promoted nothing is not one. *)
+  promoted_items : int;  (** ["heal.promoted"], charged to the dead site. *)
+  rejoins : int;  (** ["heal.mttr"] count. *)
+  repair_sessions : int;  (** ["repair.sessions"]. *)
+  repaired_items : int;  (** ["repair.items"]: values installed by [Repair]. *)
   incidents_open : int;  (** Sites still suspected when the run ended. *)
-  mttr_mean : float;  (** ms from suspicion until rejoin repair shipped. *)
+  mttr_mean : float;  (** ["heal.mttr"]: ms from suspicion until rejoin. *)
   mttr_max : float;
-  failover_mean : float;  (** ms per failover: weak drain + switch. *)
-  stale_drops : int;  (** Old-epoch messages dropped by the relaxed fence. *)
-  corruption_events : int;
-  corrupt_items : int;
+  failover_mean : float;  (** ["heal.failover"]: ms of weak drain + switch. *)
+  stale_drops : int;  (** ["heal.stale_drop"]: old-epoch messages dropped. *)
+  corruption_events : int;  (** ["corrupt.events"]. *)
+  corrupt_items : int;  (** ["corrupt.items"]. *)
 }
 
 (** [schedule c ~reconfigure ~gen] — create the control-plane net, the
     per-pair detector matrix and the [detector.*]/[repair.*]/[heal.*]
-    counters, install the timeline φ probe, and spawn the heartbeat,
+    registry entries, install the timeline φ probe, and spawn the heartbeat,
     suspicion-poll and anti-entropy fibers. [reconfigure] is the protocol's
     epoch hook; [gen] is refreshed with the promoted placement on
     failover. *)

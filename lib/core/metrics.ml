@@ -1,51 +1,27 @@
 module Txn = Repdb_txn.Txn
+module Stats = Repdb_obs.Stats
 
 type t = {
-  n_sites : int;
-  mutable commits : int;
-  mutable aborts : int;
-  mutable by_reason : (Txn.abort_reason * int) list;
-  mutable response_sum : float;
   mutable responses : float array; (* all samples, grown geometrically *)
-  commits_by_site : int array;
-  aborts_by_site : int array;
-  response_sum_by_site : float array;
-  mutable prop_sum : float;
-  mutable prop_n : int;
+  mutable n_responses : int;
   mutable last_client_done : float;
   (* Availability timeline: commits / aborts per [bucket_ms] of simulated
-     time, grown on demand. Only fed when callers pass [~at]. *)
+     time, grown on demand. *)
   mutable tl_commits : int array;
   mutable tl_aborts : int array;
   mutable tl_len : int;
-  mutable stale_reads : int;
-  mutable stale_max : float;
-  mutable stale_sum : float;
 }
 
 let bucket_ms = 100.0
 
-let create ?(n_sites = 1) () =
-  if n_sites < 1 then invalid_arg "Metrics.create: need at least one site";
+let create () =
   {
-    n_sites;
-    commits = 0;
-    aborts = 0;
-    by_reason = [];
-    response_sum = 0.0;
     responses = [||];
-    commits_by_site = Array.make n_sites 0;
-    aborts_by_site = Array.make n_sites 0;
-    response_sum_by_site = Array.make n_sites 0.0;
-    prop_sum = 0.0;
-    prop_n = 0;
+    n_responses = 0;
     last_client_done = 0.0;
     tl_commits = [||];
     tl_aborts = [||];
     tl_len = 0;
-    stale_reads = 0;
-    stale_max = 0.0;
-    stale_sum = 0.0;
   }
 
 let bucket_of t at =
@@ -64,45 +40,25 @@ let bucket_of t at =
   if b + 1 > t.tl_len then t.tl_len <- b + 1;
   b
 
-let timeline_commit t ~at =
+let commit t ~at ~response =
+  if t.n_responses = Array.length t.responses then begin
+    let ncap = max 256 (2 * Array.length t.responses) in
+    let grown = Array.make ncap 0.0 in
+    Array.blit t.responses 0 grown 0 t.n_responses;
+    t.responses <- grown
+  end;
+  t.responses.(t.n_responses) <- response;
+  t.n_responses <- t.n_responses + 1;
   let b = bucket_of t at in
   t.tl_commits.(b) <- t.tl_commits.(b) + 1
 
-let timeline_abort t ~at =
+let abort t ~at =
   let b = bucket_of t at in
   t.tl_aborts.(b) <- t.tl_aborts.(b) + 1
 
-let commit t ~site ~response =
-  if t.commits = Array.length t.responses then begin
-    let ncap = max 256 (2 * Array.length t.responses) in
-    let grown = Array.make ncap 0.0 in
-    Array.blit t.responses 0 grown 0 t.commits;
-    t.responses <- grown
-  end;
-  t.responses.(t.commits) <- response;
-  t.commits <- t.commits + 1;
-  t.response_sum <- t.response_sum +. response;
-  let site = if site < t.n_sites then site else 0 in
-  t.commits_by_site.(site) <- t.commits_by_site.(site) + 1;
-  t.response_sum_by_site.(site) <- t.response_sum_by_site.(site) +. response
-
-let abort t ~site reason =
-  t.aborts <- t.aborts + 1;
-  let site = if site < t.n_sites then site else 0 in
-  t.aborts_by_site.(site) <- t.aborts_by_site.(site) + 1;
-  let n = try List.assoc reason t.by_reason with Not_found -> 0 in
-  t.by_reason <- (reason, n + 1) :: List.remove_assoc reason t.by_reason
-
-let propagation t ~delay =
-  t.prop_sum <- t.prop_sum +. delay;
-  t.prop_n <- t.prop_n + 1
-
 let client_done t ~time = if time > t.last_client_done then t.last_client_done <- time
 
-let stale_read t ~staleness =
-  t.stale_reads <- t.stale_reads + 1;
-  t.stale_sum <- t.stale_sum +. staleness;
-  if staleness > t.stale_max then t.stale_max <- staleness
+let abort_counter_name reason = "abort." ^ Txn.string_of_abort reason
 
 type site_summary = { site : int; s_commits : int; s_aborts : int; s_avg_response : float }
 
@@ -145,56 +101,62 @@ let unavailability t =
   done;
   (!ms, !windows)
 
-(* Nearest-rank: the smallest element with at least [q] of the sample at or
-   below it, i.e. rank ceil(q*n) (1-based). Truncating q*n instead would skew
-   one element high on exact boundaries — p50 of [1;2;3;4] must be 2, not 3. *)
 let percentile sorted q =
   let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (ceil (q *. float_of_int n)) in
-    sorted.(max 1 (min n rank) - 1)
+  if n = 0 then 0.0 else sorted.(Stats.rank ~n q - 1)
 
-let summarize (t : t) ~n_sites ~messages =
-  let attempts = t.commits + t.aborts in
+let summarize (t : t) stats =
+  let n_sites = Stats.n_sites stats in
+  let total = Stats.total stats in
+  let at_site name site =
+    Option.fold ~none:0 ~some:(Stats.counter_value ~site) (Stats.find_counter stats name)
+  in
+  (* A histogram nobody registered reads as empty. *)
+  let hist name f = Option.fold ~none:0.0 ~some:f (Stats.find_histogram stats name) in
+  let count name =
+    Option.fold ~none:0 ~some:(Stats.histogram_count ~site:(-1)) (Stats.find_histogram stats name)
+  in
+  let commits = total "txn.commit" and aborts = total "txn.abort" in
+  let attempts = commits + aborts in
   let duration = t.last_client_done in
   let seconds = duration /. 1000.0 in
-  let throughput = if seconds > 0.0 then float_of_int t.commits /. seconds else 0.0 in
-  let sorted = Array.sub t.responses 0 t.commits in
+  let throughput = if seconds > 0.0 then float_of_int commits /. seconds else 0.0 in
+  let sorted = Array.sub t.responses 0 t.n_responses in
   Array.sort compare sorted;
+  let unavail_ms, unavail_windows = unavailability t in
   {
-    commits = t.commits;
-    aborts = t.aborts;
-    abort_rate = (if attempts = 0 then 0.0 else 100.0 *. float_of_int t.aborts /. float_of_int attempts);
-    aborts_by_reason = List.sort compare t.by_reason;
+    commits;
+    aborts;
+    abort_rate = (if attempts = 0 then 0.0 else 100.0 *. float_of_int aborts /. float_of_int attempts);
+    aborts_by_reason =
+      List.filter_map
+        (fun r -> match total (abort_counter_name r) with 0 -> None | n -> Some (r, n))
+        Txn.all_abort_reasons;
     duration;
     throughput;
     throughput_per_site = throughput /. float_of_int n_sites;
-    avg_response = (if t.commits = 0 then 0.0 else t.response_sum /. float_of_int t.commits);
+    avg_response = hist "response" (Stats.histogram_mean ~site:(-1));
     p50_response = percentile sorted 0.5;
     p95_response = percentile sorted 0.95;
     p99_response = percentile sorted 0.99;
-    avg_propagation = (if t.prop_n = 0 then 0.0 else t.prop_sum /. float_of_int t.prop_n);
-    n_propagations = t.prop_n;
-    messages;
+    avg_propagation = hist "prop.delay" (Stats.histogram_mean ~site:(-1));
+    n_propagations = count "prop.delay";
+    messages = total "msg.sent";
     timeline =
       List.init t.tl_len (fun b ->
           (float_of_int b *. bucket_ms, t.tl_commits.(b), t.tl_aborts.(b)));
-    unavail_ms = fst (unavailability t);
-    unavail_windows = snd (unavailability t);
-    stale_reads = t.stale_reads;
-    max_staleness = t.stale_max;
-    avg_staleness =
-      (if t.stale_reads = 0 then 0.0 else t.stale_sum /. float_of_int t.stale_reads);
+    unavail_ms;
+    unavail_windows;
+    stale_reads = count "read.stale";
+    max_staleness = hist "read.stale" (Stats.histogram_max ~site:(-1));
+    avg_staleness = hist "read.stale" (Stats.histogram_mean ~site:(-1));
     per_site =
-      List.init t.n_sites (fun site ->
-          let c = t.commits_by_site.(site) in
+      List.init n_sites (fun site ->
           {
             site;
-            s_commits = c;
-            s_aborts = t.aborts_by_site.(site);
-            s_avg_response =
-              (if c = 0 then 0.0 else t.response_sum_by_site.(site) /. float_of_int c);
+            s_commits = at_site "txn.commit" site;
+            s_aborts = at_site "txn.abort" site;
+            s_avg_response = hist "response" (Stats.histogram_mean ~site);
           });
   }
 

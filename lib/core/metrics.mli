@@ -8,36 +8,32 @@
     commit/abort traffic (the aggregate curves of §5.3 are explained by
     behaviour at individual sites, so the summary exposes it). *)
 
+(** The exact samples a fixed-bucket histogram cannot answer. Every count,
+    sum and maximum lives in the cluster's {!Repdb_obs.Stats} registry;
+    {!summarize} reads them from there. *)
 type t
 
-(** [create ~n_sites ()] — [n_sites] (default 1) sizes the per-site
-    breakdown; out-of-range sites are folded into site 0. *)
-val create : ?n_sites:int -> unit -> t
+val create : unit -> t
 
-(** {1 Recording (called by protocols and the driver)} *)
+(** {1 Recording (called by the driver's clients)} *)
 
-val commit : t -> site:int -> response:float -> unit
-val abort : t -> site:int -> Repdb_txn.Txn.abort_reason -> unit
+(** A committed attempt finished at simulated ms [at]: keep its exact
+    [response] (for {!percentile}) and land it in the availability
+    timeline ({!val:bucket_ms} buckets). *)
+val commit : t -> at:float -> response:float -> unit
 
-(** Land an outcome at simulated ms [at] in the availability timeline
-    ({!val:bucket_ms} buckets). Separate from {!commit}/{!abort} so callers
-    without a clock (unit tests) keep their totals timeline-free. *)
-val timeline_commit : t -> at:float -> unit
-
-val timeline_abort : t -> at:float -> unit
-
-(** A replica applied updates [delay] ms after the primary committed. *)
-val propagation : t -> delay:float -> unit
+(** An aborted attempt finished at [at]; availability timeline only. *)
+val abort : t -> at:float -> unit
 
 (** A client thread finished all its transactions at [time]. *)
 val client_done : t -> time:float -> unit
 
-(** A PSL read served from the local replica during a partition; [staleness]
-    is ms since that copy was last written. *)
-val stale_read : t -> staleness:float -> unit
-
 (** Availability-timeline bucket width, ms (100). *)
 val bucket_ms : float
+
+(** The registry counter charged with aborts for [reason]:
+    ["abort.<reason>"], e.g. ["abort.lock-timeout"]. *)
+val abort_counter_name : Repdb_txn.Txn.abort_reason -> string
 
 (** {1 Summary} *)
 
@@ -66,8 +62,7 @@ type summary = {
   per_site : site_summary list;  (** One row per origin site. *)
   timeline : (float * int * int) list;
       (** Goodput / abort-rate timeline: [(bucket_start_ms, commits, aborts)]
-          per {!val:bucket_ms} bucket; empty unless outcomes were recorded
-          with [~at]. *)
+          per {!val:bucket_ms} bucket. *)
   unavail_ms : float;
       (** Total ms in buckets with aborts but no commits — time the system
           was reachable-but-refusing. Idle buckets do not count. *)
@@ -78,14 +73,15 @@ type summary = {
 }
 
 (** [percentile sorted q] — nearest-rank percentile of an ascending-sorted
-    sample: the element at 1-based rank [ceil (q *. n)], clamped to the
-    array; 0 when empty. Agrees with {!Repdb_obs.Stats.percentile} up to
-    bucket resolution. *)
+    sample: the element at {!Repdb_obs.Stats.rank}; 0 when empty. *)
 val percentile : float array -> float -> float
 
-(** [summarize t ~n_sites ~messages] — compute the summary; [duration] is the
-    latest {!client_done} time. *)
-val summarize : t -> n_sites:int -> messages:int -> summary
+(** [summarize t stats] — the summary as a view: counts, sums and maxima
+    are read from [stats] ([txn.commit], [txn.abort], [abort.<reason>],
+    [response], [prop.delay], [msg.sent], [read.stale]; an unregistered
+    name reads as zero), percentiles from the exact response samples, and
+    [duration] is the latest {!client_done} time. *)
+val summarize : t -> Repdb_obs.Stats.t -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 

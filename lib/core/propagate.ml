@@ -1,4 +1,6 @@
 module Sim = Repdb_sim.Sim
+module Trace = Repdb_obs.Trace
+module Event = Repdb_obs.Event
 
 let destinations (c : Cluster.t) ~site writes =
   (* One 16-bucket table (the smallest [Hashtbl.create] makes), filled in
@@ -27,7 +29,8 @@ let fan_out c ~site writes send = charge c ~site (ship c (destinations c ~site w
 let applied (c : Cluster.t) ~gid ~site ~origin_commit =
   Cluster.record_propagation c ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
 
-let dequeued c ~site ~gid = Cluster.trace_secondary_recv c ~gid ~site
+let dequeued (c : Cluster.t) ~site ~gid =
+  if Trace.on c.trace then Trace.record c.trace (Event.Secondary_recv { gid; site })
 
 let accept (c : Cluster.t) ~site ?epoch () =
   match epoch with
@@ -41,14 +44,14 @@ let accept (c : Cluster.t) ~site ?epoch () =
 let receive (c : Cluster.t) ~site ?epoch ?(trace_recv = false) ?on_retry ?install ~gid
     ~origin_commit ?forward writes =
   if accept c ~site ?epoch () then begin
-    if trace_recv then Cluster.trace_secondary_recv c ~gid ~site;
+    if trace_recv then dequeued c ~site ~gid;
     let items = Routing.local_replicas c.placement site writes in
     (match install with
     | None -> Exec.apply_secondary ?on_retry c ~gid ~site items
     | Some install ->
         if items <> [] then begin
           install items;
-          Cluster.trace_secondary_commit c ~gid ~site
+          if Trace.on c.trace then Trace.record c.trace (Event.Secondary_commit { gid; site })
         end);
     (* Still atomic with the apply: record, forward, release the token. *)
     if items <> [] then applied c ~gid ~site ~origin_commit;

@@ -6,6 +6,8 @@ module Placement = Repdb_workload.Placement
 module Generator = Repdb_workload.Generator
 module Reconfig = Repdb_reconfig.Reconfig
 module Stats = Repdb_obs.Stats
+module Trace = Repdb_obs.Trace
+module Event = Repdb_obs.Event
 
 type xfer = { item : int; value : Value.t }
 
@@ -30,7 +32,7 @@ let additions (old_pl : Placement.t) (np : Placement.t) =
    quiesce -> state transfer -> quiesce -> atomic switch -> resume. *)
 let execute_step (c : Cluster.t) net ~reconfigure ~gen (ts : Reconfig.timed) =
   let t0 = Sim.now c.sim in
-  Cluster.trace_reconfig_begin c ~epoch:c.config_epoch;
+  if Trace.on c.trace then Trace.record c.trace (Event.Reconfig_begin { epoch = c.config_epoch });
   (* Stall clients at the barrier and wait until no transaction attempt is
      executing and no propagation is in flight: the old epoch is fully
      applied everywhere it will ever be. [acquire_switch] also serializes
@@ -58,28 +60,31 @@ let execute_step (c : Cluster.t) net ~reconfigure ~gen (ts : Reconfig.timed) =
   reconfigure ();
   Generator.refresh gen np;
   c.config_epoch <- c.config_epoch + 1;
-  c.reconfigs <- c.reconfigs + 1;
   let switch = Sim.now c.sim -. t0 in
-  (match c.switch_hist with Some h -> Stats.observe h ~site:0 switch | None -> ());
-  Cluster.trace_reconfig_switch c ~epoch:c.config_epoch ~duration:switch;
+  Option.iter (fun h -> Stats.observe h ~site:0 switch) c.switch_hist;
+  let epoch = c.config_epoch in
+  if Trace.on c.trace then Trace.record c.trace (Event.Reconfig_switch { epoch; duration = switch });
   Cluster.release_switch c;
-  Cluster.trace_reconfig_done c ~epoch:c.config_epoch ~duration:(Sim.now c.sim -. t0)
+  if Trace.on c.trace then
+    Trace.record c.trace (Event.Reconfig_done { epoch; duration = Sim.now c.sim -. t0 })
 
-let receive_server c net site =
+let receive_server (c : Cluster.t) net xfer_ctr site =
   Exec.serve net site (fun ~src (x : xfer) ->
       Cluster.use_cpu c site c.params.cpu_msg;
       Store.install c.stores.(site) x.item x.value;
-      c.state_transfers <- c.state_transfers + 1;
-      Cluster.trace_state_transfer c ~item:x.item ~src ~dst:site;
+      Stats.incr xfer_ctr ~site;
+      if Trace.on c.trace then
+        Trace.record c.trace (Event.State_transfer { item = x.item; src; dst = site });
       Cluster.dec_outstanding c)
 
 let schedule (c : Cluster.t) ~reconfigure ~gen =
   let plan = c.params.reconfig in
   if not (Reconfig.is_empty plan) then begin
     let net = Cluster.make_net c ~describe:describe_xfer in
+    let xfer_ctr = Stats.counter c.stats "reconfig.transfer" in
     let cat = Cluster.profile_cat c "reconfig" in
     for site = 0 to c.params.n_sites - 1 do
-      Sim.spawn ~cat c.sim (fun () -> receive_server c net site)
+      Sim.spawn ~cat c.sim (fun () -> receive_server c net xfer_ctr site)
     done;
     Sim.spawn ~cat c.sim (fun () ->
         List.iter

@@ -25,8 +25,11 @@ let create ~n_sites () =
 
 let n_sites t = t.n_sites
 
+let find_counter t name = List.find_opt (fun c -> c.c_name = name) t.counters
+let find_histogram t name = List.find_opt (fun h -> h.h_name = name) t.histograms
+
 let counter t name =
-  match List.find_opt (fun c -> c.c_name = name) t.counters with
+  match find_counter t name with
   | Some c -> c
   | None ->
       let c = { c_name = name; c = Array.make t.n_sites 0 } in
@@ -34,7 +37,7 @@ let counter t name =
       c
 
 let histogram ?buckets t name =
-  match List.find_opt (fun h -> h.h_name = name) t.histograms with
+  match find_histogram t name with
   | Some h -> (
       (* A histogram silently returned with different buckets than requested
          would misattribute every subsequent observation. *)
@@ -85,10 +88,17 @@ let observe h ~site v =
 
 let counter_value c ~site = c.c.(site)
 let counter_total c = Array.fold_left ( + ) 0 c.c
-let histogram_count h ~site = h.ns.(site)
+let total t name = Option.fold ~none:0 ~some:counter_total (find_counter t name)
+
+let histogram_count h ~site =
+  if site >= 0 then h.ns.(site) else Array.fold_left ( + ) 0 h.ns
+
+let histogram_sum h ~site =
+  if site >= 0 then h.sums.(site) else Array.fold_left ( +. ) 0.0 h.sums
 
 let histogram_mean h ~site =
-  if h.ns.(site) = 0 then 0.0 else h.sums.(site) /. float_of_int h.ns.(site)
+  let n = histogram_count h ~site in
+  if n = 0 then 0.0 else histogram_sum h ~site /. float_of_int n
 
 (* Aggregate bucket counts for [site], or all sites when [site < 0]. *)
 let bucket_counts h site =
@@ -103,13 +113,17 @@ let bucket_counts h site =
 let histogram_max h ~site =
   if site >= 0 then h.maxs.(site) else Array.fold_left Float.max 0.0 h.maxs
 
+(* Nearest-rank: the smallest element with at least [q] of the sample at or
+   below it, i.e. rank ceil(q*n) (1-based). Truncating q*n instead would skew
+   one element high on exact boundaries — p50 of [1;2;3;4] must be 2, not 3. *)
+let rank ~n q = max 1 (min n (int_of_float (ceil (q *. float_of_int n))))
+
 let percentile h ~site q =
   let counts = bucket_counts h site in
   let total = Array.fold_left ( + ) 0 counts in
   if total = 0 then 0.0
   else begin
-    let rank = int_of_float (ceil (q *. float_of_int total)) in
-    let rank = max 1 (min total rank) in
+    let rank = rank ~n:total q in
     let nb = Array.length h.bounds in
     let rec find i acc =
       if i >= nb then
@@ -147,17 +161,10 @@ let pp_table ppf t =
          counters)
     @ List.concat_map
         (fun h ->
-          let count site = if site >= 0 then h.ns.(site) else Array.fold_left ( + ) 0 h.ns in
-          let mean site =
-            if site >= 0 then histogram_mean h ~site
-            else
-              let n = count site and s = Array.fold_left ( +. ) 0.0 h.sums in
-              if n = 0 then 0.0 else s /. float_of_int n
-          in
           let ms v = Printf.sprintf "%.1f" v in
           [
-            col (h.h_name ^ "#") (fun site -> string_of_int (count site));
-            col (h.h_name ^ ".avg") (fun site -> ms (mean site));
+            col (h.h_name ^ "#") (fun site -> string_of_int (histogram_count h ~site));
+            col (h.h_name ^ ".avg") (fun site -> ms (histogram_mean h ~site));
             col (h.h_name ^ ".p50") (fun site -> ms (percentile h ~site 0.5));
             col (h.h_name ^ ".p95") (fun site -> ms (percentile h ~site 0.95));
             col (h.h_name ^ ".p99") (fun site -> ms (percentile h ~site 0.99));

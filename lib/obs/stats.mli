@@ -38,19 +38,38 @@ val incr : counter -> site:int -> unit
 val add : counter -> site:int -> int -> unit
 val observe : histogram -> site:int -> float -> unit
 
-(** {1 Reading} *)
+(** {1 Reading}
 
+    Histogram readers take [site:-1] for the all-site aggregate. *)
+
+(** [find_counter t name] — the counter registered under [name], without
+    registering one; [None] when its feature never registered it. *)
+val find_counter : t -> string -> counter option
+
+val find_histogram : t -> string -> histogram option
 val counter_value : counter -> site:int -> int
 val counter_total : counter -> int
 
+(** [total t name] — the all-site total of the counter [name]; 0 when it
+    was never registered. *)
+val total : t -> string -> int
+
 (** Number of observations. *)
 val histogram_count : histogram -> site:int -> int
+
+(** Sum of the observations (the all-site sum adds the per-site sums). *)
+val histogram_sum : histogram -> site:int -> float
 
 val histogram_mean : histogram -> site:int -> float
 
 (** Largest value observed at [site] ([site:-1] for all sites); 0 when
     empty. *)
 val histogram_max : histogram -> site:int -> float
+
+(** [rank ~n q] — the nearest-rank rule, shared with the exact percentile
+    over response samples: the 1-based rank [ceil (q *. n)], clamped to
+    [1..n]. *)
+val rank : n:int -> float -> int
 
 (** [percentile h ~site q] with [q] in [0,1]; 0 when empty. Pass [site:-1]
     (or use {!percentile_total}) for the all-site aggregate. When the rank

@@ -10,6 +10,7 @@ module Tree = Repdb_graph.Tree
 module Cluster = Repdb.Cluster
 module Metrics = Repdb.Metrics
 module Exec = Repdb.Exec
+module Stats = Repdb_obs.Stats
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -17,16 +18,35 @@ let checkf = Alcotest.(check (float 1e-9))
 
 (* --- metrics ------------------------------------------------------------- *)
 
+(* A registry and a sample store fed the way the driver's clients feed
+   them: counts in [Stats], exact responses and availability buckets in
+   [Metrics]. *)
+let recorder ~n_sites =
+  let stats = Stats.create ~n_sites () and m = Metrics.create () in
+  let commit ~site response =
+    Stats.incr (Stats.counter stats "txn.commit") ~site;
+    Stats.observe (Stats.histogram stats "response") ~site response;
+    Metrics.commit m ~at:0.0 ~response
+  and abort ~site reason =
+    Stats.incr (Stats.counter stats "txn.abort") ~site;
+    Stats.incr (Stats.counter stats (Metrics.abort_counter_name reason)) ~site;
+    Metrics.abort m ~at:0.0
+  and summarize ~finished =
+    Metrics.client_done m ~time:finished;
+    Metrics.summarize m stats
+  in
+  (stats, commit, abort, summarize)
+
 let test_metrics_counts () =
-  let m = Metrics.create () in
-  Metrics.commit m ~site:0 ~response:10.0;
-  Metrics.commit m ~site:0 ~response:20.0;
-  Metrics.abort m ~site:0 Txn.Lock_timeout;
-  Metrics.abort m ~site:0 Txn.Lock_timeout;
-  Metrics.abort m ~site:0 Txn.Deadlock;
-  Metrics.propagation m ~delay:5.0;
-  Metrics.client_done m ~time:1000.0;
-  let s = Metrics.summarize m ~n_sites:2 ~messages:7 in
+  let stats, commit, abort, summarize = recorder ~n_sites:2 in
+  commit ~site:0 10.0;
+  commit ~site:0 20.0;
+  abort ~site:0 Txn.Lock_timeout;
+  abort ~site:0 Txn.Lock_timeout;
+  abort ~site:0 Txn.Deadlock;
+  Stats.observe (Stats.histogram stats "prop.delay") ~site:1 5.0;
+  Stats.add (Stats.counter stats "msg.sent") ~site:0 7;
+  let s = summarize ~finished:1000.0 in
   checki "commits" 2 s.commits;
   checki "aborts" 3 s.aborts;
   checkf "abort rate" 60.0 s.abort_rate;
@@ -39,15 +59,16 @@ let test_metrics_counts () =
     "reason counts" []
     (List.map (fun (_, n) -> ((), n)) s.aborts_by_reason |> List.filter (fun _ -> false));
   checki "two reasons" 2 (List.length s.aborts_by_reason);
-  checkb "lock-timeout counted twice" true (List.mem (Txn.Lock_timeout, 2) s.aborts_by_reason)
+  checkb "lock-timeout counted twice" true (List.mem (Txn.Lock_timeout, 2) s.aborts_by_reason);
+  checkb "reasons in constructor order" true
+    (List.map fst s.aborts_by_reason = [ Txn.Lock_timeout; Txn.Deadlock ])
 
 let test_metrics_percentiles () =
-  let m = Metrics.create () in
+  let _, commit, _, summarize = recorder ~n_sites:1 in
   for i = 1 to 100 do
-    Metrics.commit m ~site:0 ~response:(float_of_int i)
+    commit ~site:0 (float_of_int i)
   done;
-  Metrics.client_done m ~time:100.0;
-  let s = Metrics.summarize m ~n_sites:1 ~messages:0 in
+  let s = summarize ~finished:100.0 in
   (* Nearest-rank: of 1..100, pXX is exactly XX. *)
   checkf "p50" 50.0 s.p50_response;
   checkf "p95" 95.0 s.p95_response;
@@ -66,10 +87,10 @@ let test_metrics_stats_percentiles_agree () =
   (* The two percentile implementations must give the same answer when the
      histogram buckets resolve every sample exactly. *)
   let samples = Array.init 40 (fun i -> float_of_int (1 + (i mod 10))) in
-  let stats = Repdb_obs.Stats.create ~n_sites:1 () in
+  let stats = Stats.create ~n_sites:1 () in
   let buckets = Array.init 10 (fun i -> float_of_int (i + 1)) in
-  let h = Repdb_obs.Stats.histogram ~buckets stats "x" in
-  Array.iter (fun v -> Repdb_obs.Stats.observe h ~site:0 v) samples;
+  let h = Stats.histogram ~buckets stats "x" in
+  Array.iter (fun v -> Stats.observe h ~site:0 v) samples;
   let sorted = Array.copy samples in
   Array.sort compare sorted;
   List.iter
@@ -77,12 +98,12 @@ let test_metrics_stats_percentiles_agree () =
       checkf
         (Printf.sprintf "q=%g agrees" q)
         (Metrics.percentile sorted q)
-        (Repdb_obs.Stats.percentile h ~site:0 q))
+        (Stats.percentile h ~site:0 q))
     [ 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.95; 0.99; 1.0 ]
 
 let test_metrics_empty () =
-  let m = Metrics.create () in
-  let s = Metrics.summarize m ~n_sites:3 ~messages:0 in
+  let _, _, _, summarize = recorder ~n_sites:3 in
+  let s = summarize ~finished:0.0 in
   checkf "no throughput" 0.0 s.throughput;
   checkf "no response" 0.0 s.avg_response;
   checkf "no abort rate" 0.0 s.abort_rate;
@@ -93,21 +114,19 @@ let test_metrics_empty () =
   checkb "avg prop finite" false (Float.is_nan s.avg_propagation)
 
 let test_metrics_single_sample () =
-  let m = Metrics.create () in
-  Metrics.commit m ~site:0 ~response:42.0;
-  Metrics.client_done m ~time:100.0;
-  let s = Metrics.summarize m ~n_sites:1 ~messages:0 in
+  let _, commit, _, summarize = recorder ~n_sites:1 in
+  commit ~site:0 42.0;
+  let s = summarize ~finished:100.0 in
   checkf "p50 of one" 42.0 s.p50_response;
   checkf "p95 of one" 42.0 s.p95_response;
   checkf "p99 of one" 42.0 s.p99_response;
   checkf "avg of one" 42.0 s.avg_response
 
 let test_metrics_aborts_only () =
-  let m = Metrics.create () in
-  Metrics.abort m ~site:0 Txn.Deadlock;
-  Metrics.abort m ~site:0 Txn.Lock_timeout;
-  Metrics.client_done m ~time:50.0;
-  let s = Metrics.summarize m ~n_sites:1 ~messages:0 in
+  let _, _, abort, summarize = recorder ~n_sites:1 in
+  abort ~site:0 Txn.Deadlock;
+  abort ~site:0 Txn.Lock_timeout;
+  let s = summarize ~finished:50.0 in
   checki "no commits" 0 s.commits;
   checki "two aborts" 2 s.aborts;
   checkf "abort rate is total" 100.0 s.abort_rate;
@@ -115,12 +134,11 @@ let test_metrics_aborts_only () =
   checkb "p99 finite" false (Float.is_nan s.p99_response)
 
 let test_metrics_per_site () =
-  let m = Metrics.create ~n_sites:3 () in
-  Metrics.commit m ~site:0 ~response:10.0;
-  Metrics.commit m ~site:2 ~response:30.0;
-  Metrics.abort m ~site:2 Txn.Deadlock;
-  Metrics.client_done m ~time:100.0;
-  let s = Metrics.summarize m ~n_sites:3 ~messages:0 in
+  let _, commit, abort, summarize = recorder ~n_sites:3 in
+  commit ~site:0 10.0;
+  commit ~site:2 30.0;
+  abort ~site:2 Txn.Deadlock;
+  let s = summarize ~finished:100.0 in
   checki "three rows" 3 (List.length s.per_site);
   let row site = List.nth s.per_site site in
   checki "site 0 commits" 1 (row 0).Metrics.s_commits;

@@ -409,6 +409,96 @@ let test_telemetry_parity () =
   checki "every replicating protocol checked" 11 (List.length replicating);
   Alcotest.(check (list string)) "telemetry gaps" [] (List.concat_map gaps replicating)
 
+(* --- the report is a view of the registry --------------------------------- *)
+
+(* Every count the report prints must be read from [r.site_stats] under its
+   registry name; an unregistered name reads as zero. *)
+let check_registry_view label (r : Driver.report) =
+  let s = r.site_stats in
+  let total = Stats.total s in
+  let hist name f default = Option.fold ~none:default ~some:f (Stats.find_histogram s name) in
+  let count name = hist name (Stats.histogram_count ~site:(-1)) 0 in
+  let sum name = hist name (Stats.histogram_sum ~site:(-1)) 0.0 in
+  let mean name = hist name (Stats.histogram_mean ~site:(-1)) 0.0 in
+  let max name = hist name (Stats.histogram_max ~site:(-1)) 0.0 in
+  let checki what = checki (label ^ ": " ^ what) and checkf what = checkf (label ^ ": " ^ what) in
+  checki "crashes" (total "fault.crash") r.crashes;
+  checki "partitions" (total "fault.partition") r.partitions;
+  checki "reconfigs" (count "reconfig.switch") r.reconfigs;
+  checki "state transfers" (total "reconfig.transfer") r.state_transfers;
+  checkf "reconfig stall" (sum "reconfig.stall") r.reconfig_stall;
+  checki "messages" (total "msg.sent") r.summary.messages;
+  Alcotest.(check (list (pair string int)))
+    (label ^ ": aborts by reason")
+    (List.filter_map
+       (fun reason ->
+         let name = Repdb_txn.Txn.string_of_abort reason in
+         match total ("abort." ^ name) with 0 -> None | n -> Some (name, n))
+       Repdb_txn.Txn.all_abort_reasons)
+    (List.map (fun (reason, n) -> (Repdb_txn.Txn.string_of_abort reason, n)) r.summary.aborts_by_reason);
+  checki "stale reads" (count "read.stale") r.summary.stale_reads;
+  checkf "max staleness" (max "read.stale") r.summary.max_staleness;
+  checkf "avg staleness" (mean "read.stale") r.summary.avg_staleness;
+  Option.iter
+    (fun (h : Repdb.Heal_exec.summary) ->
+      checki "suspicions" (total "detector.suspect") h.suspicions;
+      checki "false suspicions" (total "detector.false") h.false_suspicions;
+      checki "failovers" (count "heal.failover") h.failovers;
+      checki "promoted items" (total "heal.promoted") h.promoted_items;
+      checki "rejoins" (count "heal.mttr") h.rejoins;
+      checki "repair sessions" (total "repair.sessions") h.repair_sessions;
+      checki "repaired items" (total "repair.items") h.repaired_items;
+      checkf "mttr mean" (mean "heal.mttr") h.mttr_mean;
+      checkf "mttr max" (max "heal.mttr") h.mttr_max;
+      checkf "failover mean" (mean "heal.failover") h.failover_mean;
+      checki "stale drops" (total "heal.stale_drop") h.stale_drops;
+      checki "corruption events" (total "corrupt.events") h.corruption_events;
+      checki "corrupt items" (total "corrupt.items") h.corrupt_items)
+    r.heal
+
+let test_report_is_registry_view () =
+  let faults spec = match Repdb_fault.Fault.of_string spec with Ok f -> f | Error m -> failwith m in
+  let chaos =
+    {
+      Params.default with
+      n_sites = 4;
+      n_items = 40;
+      threads_per_site = 2;
+      txns_per_thread = 60;
+      heal = true;
+      txn_deadline = 400.0;
+      retry = Params.default_backoff;
+      faults = faults "crash@400:site=1,down=800;corrupt@600:site=2,p=1;partition@150-300:groups=0.1|2.3";
+      reconfig =
+        (match Repdb_reconfig.Reconfig.of_string "add@50:item=2,site=3;add@700:item=5,site=0" with
+        | Ok p -> p
+        | Error m -> failwith m);
+    }
+  in
+  let backedge = (module Repdb.Backedge_proto : Repdb.Protocol.S) in
+  let r = Driver.run chaos backedge in
+  check_registry_view "chaos" r;
+  checkb "chaos: every feature fired" true
+    (r.crashes > 0 && r.partitions > 0 && r.reconfigs > 0 && r.state_transfers > 0
+    && match r.heal with Some h -> h.failovers > 0 && h.corrupt_items > 0 | None -> false);
+  (* Healer failovers stall clients without an operator plan, and that stall
+     must be in the registry too. *)
+  let r = Driver.run { chaos with reconfig = Repdb_reconfig.Reconfig.empty } backedge in
+  check_registry_view "heal only" r;
+  checkb "heal only: failover stalled clients" true (r.reconfig_stall > 0.0);
+  let stale =
+    {
+      chaos with
+      heal = false;
+      reconfig = Repdb_reconfig.Reconfig.empty;
+      stale_reads = 1000.0;
+      faults = faults "partition@100-600:groups=0.1|2.3";
+    }
+  in
+  let r = Driver.run stale (module Repdb.Psl : Repdb.Protocol.S) in
+  check_registry_view "stale reads" r;
+  checkb "stale reads served" true (r.summary.stale_reads > 0)
+
 let () =
   Alcotest.run "obs"
     [
@@ -442,5 +532,6 @@ let () =
           Alcotest.test_case "dag-t epoch monotone" `Quick test_dagt_epoch_monotone;
           Alcotest.test_case "trace off by default" `Quick test_trace_off_by_default;
           Alcotest.test_case "telemetry parity" `Quick test_telemetry_parity;
+          Alcotest.test_case "report is a registry view" `Quick test_report_is_registry_view;
         ] );
     ]
