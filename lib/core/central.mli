@@ -16,7 +16,14 @@
 
     Every transaction — read-only ones too — pays a round trip to, and CPU
     at, the central site, which is exactly the bottleneck the paper
-    predicts; the scaling ablation quantifies it. *)
+    predicts; the scaling ablation quantifies it.
+
+    The certification wait ignores the transaction deadline on purpose. A
+    certification that outlived its client would already have advanced the
+    central site's per-item counts for writes that are never applied, so
+    every later certification of a read of those items would fail. (SSI
+    can bound its certify wait because its certified winners are applied
+    where the verdict lands, whether or not the client still waits.) *)
 
 include Protocol.S
 
