@@ -48,11 +48,8 @@ let cert_server t site =
   let c = t.c in
   Exec.serve t.net site (fun ~src -> function
     | Certify { reads; writes; reply } ->
-        (* The request's outstanding count carries over to the reply. *)
         Sim.spawn c.sim (fun () -> serve_certify t ~src ~reads ~writes ~reply)
-    | Certify_reply { ok; deliver } ->
-        Cluster.dec_outstanding c;
-        deliver ok)
+    | Certify_reply { ok; deliver } -> deliver ok)
 
 (* One sequential applier per site: updates of an item all originate at its
    primary, so FIFO delivery + in-order application preserves the
@@ -90,12 +87,13 @@ let certify t ~site ~reads ~writes =
     Cluster.use_cpu c central_site c.params.cpu_op;
     decide t ~reads ~writes
   end
-  else begin
-    Cluster.use_cpu c site c.params.cpu_msg;
-    Sim.suspend (fun resume ->
-        Cluster.inc_outstanding c;
-        Network.send t.net ~src:site ~dst:central_site (Certify { reads; writes; reply = resume }))
-  end
+  else
+    match
+      Remote.call c ~site (fun reply ->
+          Network.send t.net ~src:site ~dst:central_site (Certify { reads; writes; reply }))
+    with
+    | `Reply ok -> ok
+    | `Deadline -> assert false (* no deadline: see central.mli *)
 
 let submit t (spec : Txn.spec) =
   let c = t.c in

@@ -10,6 +10,3 @@
     the paper's evaluation; included as an ablation baseline. *)
 
 include Protocol.S
-
-(** Remote write-lock requests performed so far. *)
-val remote_writes : t -> int

@@ -1,6 +1,4 @@
-module Sim = Repdb_sim.Sim
 module Lock_mgr = Repdb_lock.Lock_mgr
-module History = Repdb_txn.History
 module Store = Repdb_store.Store
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
@@ -8,88 +6,25 @@ module Txn = Repdb_txn.Txn
 let name = "psl"
 let updates_replicas = false
 
-type msg =
-  | Read_request of { item : int; owner : int; reply : bool -> unit }
-  | Read_reply of { granted : bool; deliver : bool -> unit }
-      (** The grant (with the shipped value) or denial travelling back. *)
-  | Release of { owner : int }
+type t = { c : Cluster.t; net : Remote.msg Network.t; locks : Remote.t }
 
-type t = { c : Cluster.t; net : msg Network.t; mutable remote : int }
-
-let remote_reads t = t.remote
-
-(* Serve a shared-lock request at the item's primary site; runs as its own
-   process since the lock wait can block. The reply is itself a network
-   message carrying the current value back with the lock grant. *)
-let serve_read t site ~src ~item ~owner ~reply =
-  let c = t.c in
-  Cluster.use_cpu c site c.params.cpu_msg;
-  let respond granted =
-    Network.send t.net ~src:site ~dst:src (Read_reply { granted; deliver = reply })
-  in
-  match Lock_mgr.acquire c.locks.(site) ~owner item Lock_mgr.Shared with
-  | Lock_mgr.Granted ->
-      Cluster.use_cpu c site c.params.cpu_op;
-      ignore (Store.read c.stores.(site) item);
-      History.record c.history ~site ~item ~gid:owner ~attempt:owner History.R;
-      respond true
-  | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> respond false
-
-let server t site =
-  Exec.serve t.net site (fun ~src -> function
-    | Read_request { item; owner; reply } ->
-        Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~owner ~reply)
-    | Read_reply { granted; deliver } ->
-        Cluster.dec_outstanding t.c;
-        deliver granted
-    | Release { owner } ->
-        Sim.spawn t.c.sim (fun () ->
-            Cluster.use_cpu t.c site t.c.params.cpu_msg;
-            Lock_mgr.release_all t.c.locks.(site) ~owner;
-            Cluster.dec_outstanding t.c))
-
-let describe_msg = function
-  | Read_request _ -> ("read-request", 24)
-  | Read_reply _ -> ("read-reply", 16)
-  | Release _ -> ("release", 16)
-
+(* A shared lock at the primary ships the current value back with the grant. *)
 let create (c : Cluster.t) =
-  let net = Cluster.make_net ~describe:describe_msg c in
-  let t = { c; net; remote = 0 } in
-  Exec.spawn_servers c (fun site -> [ (fun () -> server t site) ]);
-  t
-
-(* Blocking remote read: ask the primary for the shared lock and the current
-   value. Honours the armed transaction deadline: a timer resumes the waiter
-   with [`Deadline] (resumption is one-shot, so a late grant or denial is
-   ignored — the Release sent at abort releases any lock the primary granted
-   meanwhile, and [release_all] also cancels a still-pending wait there). *)
-let remote_read t ~site ~primary ~item ~owner ~deadline_at =
-  let c = t.c in
-  t.remote <- t.remote + 1;
-  Cluster.use_cpu c site c.params.cpu_msg;
-  if Sim.now c.sim >= deadline_at then `Deadline
-  else
-    Sim.suspend (fun resume ->
-        Cluster.inc_outstanding c;
-        if deadline_at < infinity then Sim.at c.sim deadline_at (fun () -> resume `Deadline);
-        Network.send t.net ~src:site ~dst:primary
-          (Read_request
-             { item; owner; reply = (fun granted -> resume (if granted then `Granted else `Denied)) }))
+  let net = Cluster.make_net ~describe:(Remote.describe Lock_mgr.Shared) c in
+  let on_grant ~site ~owner:_ item =
+    Cluster.use_cpu c site c.params.cpu_op;
+    ignore (Store.read c.stores.(site) item)
+  in
+  let locks = Remote.locks ~on_grant c Lock_mgr.Shared ~send:(Network.send net) in
+  Exec.spawn_servers c (fun site -> [ (fun () -> Exec.serve net site (Remote.handle locks ~site)) ]);
+  { c; net; locks }
 
 (* PSL locks span sites, so the gid doubles as the attempt/lock-owner id;
    remote primaries record history under it directly. Remote primaries hold
    shared locks until the commit or abort releases them. *)
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let remote_sites = Hashtbl.create 4 in
-  let release_remote (f : Exec.frame) =
-    Hashtbl.iter
-      (fun primary () ->
-        Cluster.inc_outstanding c;
-        Network.send t.net ~src:f.site ~dst:primary (Release { owner = f.attempt }))
-      remote_sites
-  in
+  let held = Remote.held () in
   let run (f : Exec.frame) =
     let site = f.site in
     let local op = Exec.run_ops c ~gid:f.gid ~attempt:f.attempt ~site [ op ] in
@@ -116,27 +51,24 @@ let submit t (spec : Txn.spec) =
                 Cluster.record_stale_read c ~site ~item ~staleness;
                 go rest
             | _ -> (
-                Hashtbl.replace remote_sites primary ();
                 (* The round-trip to the primary is the PSL propagation
-                   wait: lock-grant latency shows up at the reader. *)
+                   wait: lock-grant latency shows up at the reader. A lock
+                   granted after the deadline is freed by the abort's
+                   release. *)
                 match
-                  Exec.prop_wait f (fun () ->
-                      remote_read t ~site ~primary ~item ~owner:f.attempt
-                        ~deadline_at:f.deadline_at)
+                  Exec.prop_wait f (fun () -> Remote.acquire t.locks f held ~dst:primary item)
                 with
-                | `Granted ->
+                | Ok () ->
                     Cluster.use_cpu c site c.params.cpu_msg;
                     go rest
-                | `Denied -> Error Txn.Remote_denied
-                | `Deadline -> Error Txn.Deadline_exceeded)
+                | e -> e)
           end
     in
     go spec.ops
   in
-  Exec.primary ~attempt_is_gid:true ~replicated:false c spec ~run ~cleanup:release_remote
-    ~publish:(fun f () ->
-      release_remote f;
-      Propagate.charge c ~site:f.site (Hashtbl.length remote_sites))
+  Exec.primary ~attempt_is_gid:true ~replicated:false c spec ~run
+    ~cleanup:(fun f -> ignore (Remote.release t.locks f held))
+    ~publish:(fun f () -> Propagate.charge c ~site:f.site (Remote.release t.locks f held))
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)
 let reconfigure = Some ignore
