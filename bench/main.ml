@@ -1,6 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 5), the extra sweeps implied by Table 1's ranges, our
    ablations, and a set of Bechamel micro-benchmarks of the core operations.
+   The experiment targets are the ids of [Experiment.registry]; table1, fas,
+   variance, micro and occ-validate are defined here.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- fig2a fig3b  # selected targets
@@ -70,29 +72,6 @@ let table1 () =
   List.iter
     (fun (name, symbol, value, range) -> Fmt.pr "%-32s %-8s %-24s %s@." name symbol value range)
     (Params.table1 base);
-  Fmt.pr "@."
-
-(* --- Section 5.3.4 ------------------------------------------------------------ *)
-
-let resp () =
-  Fmt.pr "== Section 5.3.4: response time and update propagation at the defaults ==@.";
-  List.iter
-    (fun (name, (r : Repdb.Driver.report)) ->
-      Fmt.pr "  %-9s avg response = %6.1f ms   avg propagation = %6.1f ms   abort = %5.2f%%@."
-        name r.summary.avg_response r.summary.avg_propagation r.summary.abort_rate)
-    (Experiment.response_times ?pool ~base ());
-  Fmt.pr "  (paper: ~180 ms BackEdge vs ~260 ms PSL; propagation \"a few hundred millisec\")@.@."
-
-(* --- ablations ----------------------------------------------------------------- *)
-
-let ablation () =
-  Fmt.pr "== Ablation: every protocol on a DAG copy graph (b=0, defaults) ==@.";
-  List.iter
-    (fun (name, (r : Repdb.Driver.report)) ->
-      Fmt.pr "  %-9s thr/site=%7.2f  abort=%6.2f%%  resp=%7.1fms  prop=%7.1fms  msgs=%d@." name
-        r.summary.throughput_per_site r.summary.abort_rate r.summary.avg_response
-        r.summary.avg_propagation r.summary.messages)
-    (Experiment.ablation_protocols ?pool ~base ());
   Fmt.pr "@."
 
 (* --- Section 4.2: minimising the effects of backedges ---------------------------- *)
@@ -454,51 +433,28 @@ let occ_validate () =
 
 (* --- dispatch ------------------------------------------------------------------- *)
 
+(* A [Runs] experiment prints one line per label. *)
+let print_runs (e : Experiment.entry) reports =
+  let width = List.fold_left (fun w (label, _) -> max w (String.length label)) 9 reports in
+  Fmt.pr "== %s: %s ==@." e.exp_id e.title;
+  List.iter
+    (fun (label, (r : Repdb.Driver.report)) ->
+      Fmt.pr "  %-*s thr/site=%7.2f  abort=%6.2f%%  resp=%7.1fms  prop=%7.1fms  msgs=%d@." width
+        label r.summary.throughput_per_site r.summary.abort_rate r.summary.avg_response
+        r.summary.avg_propagation r.summary.messages)
+    reports;
+  Fmt.pr "@."
+
+let experiment (e : Experiment.entry) () =
+  match Experiment.run ?pool ~base e with
+  | Figure fig -> print_figure fig
+  | Reports reports -> print_runs e reports
+
+(* Every registered experiment, plus the targets that are not experiments. *)
 let targets : (string * (unit -> unit)) list =
-  [
-    ("table1", table1);
-    ("fig2a", fun () -> print_figure (Experiment.fig2a ?pool ~base ()));
-    ("fig2b", fun () -> print_figure (Experiment.fig2b ?pool ~base ()));
-    ("fig3a", fun () -> print_figure (Experiment.fig3a ?pool ~base ()));
-    ("fig3b", fun () -> print_figure (Experiment.fig3b ?pool ~base ()));
-    ("resp", resp);
-    ("sites", fun () -> print_figure (Experiment.sweep_sites ?pool ~base ()));
-    ("threads", fun () -> print_figure (Experiment.sweep_threads ?pool ~base ()));
-    ("latency", fun () -> print_figure (Experiment.sweep_latency ?pool ~base ()));
-    ("readtxn", fun () -> print_figure (Experiment.sweep_read_txn ?pool ~base ()));
-    ("ablation", ablation);
-    ("eager-scaling", fun () -> print_figure (Experiment.ablation_eager_scaling ?pool ~base ()));
-    ("tree-routing", fun () -> print_figure (Experiment.ablation_tree_routing ?pool ~base ()));
-    ( "deadlock-policy",
-      fun () ->
-        Fmt.pr "== Ablation: timeout vs waits-for-graph detection (defaults) ==@.";
-        List.iter
-          (fun (name, (r : Repdb.Driver.report)) ->
-            Fmt.pr "  %-18s thr/site=%7.2f  abort=%6.2f%%  resp=%7.1fms@." name
-              r.summary.throughput_per_site r.summary.abort_rate r.summary.avg_response)
-          (Experiment.ablation_deadlock_policy ?pool ~base ());
-        Fmt.pr "@." );
-    ("dummy-period", fun () -> print_figure (Experiment.ablation_dummy_period ?pool ~base ()));
-    ("hotspot", fun () -> print_figure (Experiment.ablation_hotspot ?pool ~base ()));
-    ("straggler", fun () -> print_figure (Experiment.ablation_straggler ?pool ~base ()));
-    ( "site-order",
-      fun () ->
-        Fmt.pr "== Ablation: BackEdge site ordering on a hub topology (Section 4.2) ==@.";
-        List.iter
-          (fun (label, (r : Repdb.Driver.report)) ->
-            Fmt.pr "  %-15s thr/site=%7.2f  abort=%6.2f%%  backedges=%d@." label
-              r.summary.throughput_per_site r.summary.abort_rate r.n_backedges)
-          (Experiment.ablation_site_order ?pool ~base ());
-        Fmt.pr "  (n_backedges is counted under the identity order; the fas order removes them@.\
-         \   from the protocol's tree even though the copy graph is unchanged)@.@." );
-    ("faults", fun () -> print_figure (Experiment.sweep_faults ?pool ~base ()));
-    ("reconfig", fun () -> print_figure (Experiment.sweep_reconfig ?pool ~base ()));
-    ("fas", fas);
-    ("variance", variance);
-    ("micro", micro);
-    ("occ", fun () -> print_figure (Experiment.sweep_occ ?pool ~base ()));
-    ("occ-validate", occ_validate);
-  ]
+  ("table1", table1)
+  :: List.map (fun (e : Experiment.entry) -> (e.exp_id, experiment e)) Experiment.registry
+  @ [ ("fas", fas); ("variance", variance); ("micro", micro); ("occ-validate", occ_validate) ]
 
 let () =
   let requested = if requested = [] then List.map fst targets else requested in

@@ -114,12 +114,12 @@ let test_final_values_identical () =
    -j 1 / -j 2. *)
 let test_batched_determinism () =
   let batched = { (with_batch 8 2.0) with Params.txns_per_thread = 5 } in
-  let csv () = Experiment.to_csv (Experiment.fig2a ~base:batched ~steps:2 ()) in
+  let csv () = Experiment.to_csv (Experiment.figure ~base:batched ~steps:2 "fig2a") in
   let seq = csv () in
   checks "repeat run identical" seq (csv ());
   let par =
     Pool.with_pool ~domains:2 (fun pool ->
-        Experiment.to_csv (Experiment.fig2a ~pool ~base:batched ~steps:2 ()))
+        Experiment.to_csv (Experiment.figure ~pool ~base:batched ~steps:2 "fig2a"))
   in
   checks "-j 2 identical" seq par
 
@@ -140,7 +140,7 @@ let test_batched_timeline_deterministic () =
 (* batch_size = 1 (the default) short-circuits the batcher entirely, so
    spelling it out changes nothing observable. *)
 let test_batch1_is_default () =
-  let csv params = Experiment.to_csv (Experiment.fig2a ~base:params ~steps:2 ()) in
+  let csv params = Experiment.to_csv (Experiment.figure ~base:params ~steps:2 "fig2a") in
   let small = { base with Params.txns_per_thread = 5 } in
   checks "explicit batch=1/0 == default" (csv small)
     (csv { small with Params.batch_size = 1; batch_linger_ms = 0.0 })

@@ -118,7 +118,8 @@ let test_sweep_timelines_identical () =
   in
   let collect ?pool () =
     render_files
-      (Experiment.timeline_files (Experiment.Figure (Experiment.sweep_partition ?pool ~base ())))
+      (Experiment.timeline_files
+         (Experiment.run ?pool ~base (Option.get (Experiment.find "partition"))))
   in
   let seq = collect () in
   checkb "sweep collected timelines" true (String.length seq > 0);
