@@ -17,7 +17,8 @@
    of simulator events. Event counts are deterministic at a fixed
    transaction count and batch setting, so a changed count means changed
    behaviour; it is compared only when both match FILE's. CI uses this to
-   gate merges on the committed BENCH_sweeps.json. *)
+   gate merges on the committed BENCH_sweeps.json. The output ([-o], default
+   BENCH_sweeps.json) must be a different file from FILE. *)
 
 module Params = Repdb_workload.Params
 module Experiment = Repdb.Experiment
@@ -76,6 +77,19 @@ let jobs, out_file, check_file, selected =
         end
   in
   parse (Pool.default_domains ()) "BENCH_sweeps.json" None [] (List.tl (Array.to_list Sys.argv))
+
+(* The output is written before [--check] reads its file, so an output path
+   naming the baseline would overwrite it with this run's numbers. *)
+let () =
+  let same_file a b =
+    a = b || try Unix.realpath a = Unix.realpath b with Unix.Unix_error _ -> false
+  in
+  match check_file with
+  | Some f when same_file f out_file ->
+      Fmt.epr "baseline: the output %s is the --check baseline; pass -o with another file@."
+        out_file;
+      usage ()
+  | _ -> ()
 
 let selected = if selected = [] then default_figures else selected
 

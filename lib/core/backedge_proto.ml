@@ -339,7 +339,7 @@ let make_with_tree (c : Cluster.t) ~retree tr =
      counts feed the event tie-break order, and static runs must stay
      byte-identical. *)
   Exec.spawn_servers c (fun site ->
-      (if Cluster.reconfig_planned c || Tree.parent tr site <> -1 then
+      (if Option.is_some c.epochs || Tree.parent tr site <> -1 then
          [ (fun () -> tree_applier t site) ]
        else [])
       @ [ (fun () -> direct_server t site) ]);

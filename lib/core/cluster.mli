@@ -3,9 +3,11 @@
     A cluster bundles the substrate a protocol runs on — simulation kernel,
     per-site stores and lock managers, per-machine CPUs, the data placement,
     the access history and the {!Stats} registry where every count is
-    recorded — plus the bookkeeping the driver needs to detect quiescence
-    (outstanding in-flight work, running clients, the stop flag that shuts
-    periodic processes down). *)
+    recorded — plus the bookkeeping the driver needs to detect quiescence.
+
+    Each optional feature keeps its state in one sub-record that is [Some]
+    exactly when the feature is on; a feature that is off allocates nothing
+    and registers no {!Stats} names. *)
 
 module Sim = Repdb_sim.Sim
 module Rng = Repdb_sim.Rng
@@ -15,7 +17,6 @@ module Store = Repdb_store.Store
 module Wal = Repdb_store.Wal
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Fault = Repdb_fault.Fault
-module Reconfig = Repdb_reconfig.Reconfig
 module History = Repdb_txn.History
 module Params = Repdb_workload.Params
 module Placement = Repdb_workload.Placement
@@ -23,7 +24,87 @@ module Trace = Repdb_obs.Trace
 module Stats = Repdb_obs.Stats
 module Span = Repdb_obs.Span
 module Timeline = Repdb_obs.Timeline
-module Profile = Repdb_obs.Profile
+
+(** Quiescence accounting; always present. *)
+type quiescence = {
+  mutable outstanding : int;  (** In-flight messages / pending remote work. *)
+  mutable clients_running : int;
+  mutable active_txns : int;
+      (** Transaction attempts currently executing (epoch drains and the
+          timeline's active column count attempts, not clients). *)
+  quiesced : Condvar.t;  (** Broadcast on transitions relevant to quiescence. *)
+}
+
+(** Fault injection; present iff [params.faults] is non-empty. *)
+type faults = {
+  injector : Fault.injector;
+      (** Drives the networks' drop/delay behaviour and {!schedule_faults}. *)
+  wals : Wal.t array;
+      (** Per-site redo logs, attached at creation: hooking every write has a
+          cost, and fault-free runs never crash. *)
+  site_up : bool array;
+  up_cv : Condvar.t array;  (** Per site; broadcast when the site restarts. *)
+}
+
+(** Bounded-staleness reads; present iff [params.stale_reads > 0]. *)
+type stale_reads = {
+  apply_mtime : float array array;
+      (** [site][item] — simulated time of the last write applied locally;
+          the staleness clock for partition-time local reads. *)
+  stale_hist : Stats.histogram;
+      (** ["read.stale"], the staleness of each partition-time local read. *)
+}
+
+(** Epoch switches; present iff the placement can change mid-run: an
+    operator plan is scheduled ([params.reconfig] non-empty) or the healer
+    may fail over ([params.heal]). Protocols test its presence to provision
+    appliers for sites that could acquire a tree parent at a later epoch. *)
+type epochs = {
+  mutable reconfiguring : bool;  (** An epoch switch is in progress. *)
+  drained : Condvar.t;
+      (** Broadcast (while reconfiguring) when [active_txns] and
+          [outstanding] both reach 0. *)
+  resume : Condvar.t;  (** Broadcast when the epoch switch completes. *)
+  switch_hist : Stats.histogram;
+      (** Drain + transfer + switch latency per executed operator step
+          (["reconfig.switch"], charged to site 0); in the cluster's registry
+          only when an operator plan exists. *)
+  stall_hist : Stats.histogram;
+      (** Per-site client stall at the epoch barrier (["reconfig.stall"]). *)
+}
+
+(** The sampled timeline; present iff [params.timeline_every > 0]. *)
+type telemetry = {
+  timeline : Timeline.t;  (** Filled by the driver's ticker via {!sample_timeline}. *)
+  commits : Stats.counter;  (** ["txn.commit"], bumped by the driver's clients. *)
+  aborts : Stats.counter;  (** ["txn.abort"]. *)
+  commits_prev : int array;  (** Counter snapshots at the last sample. *)
+  aborts_prev : int array;
+  lag_pending : int array;
+      (** Per site: propagated updates destined but not yet applied. *)
+  lag_applied : float array;
+      (** Per site: origin-commit time of the newest update applied. *)
+  lag_seen : bool array;  (** Scratch for {!note_destined} deduplication. *)
+  mutable inflight : (unit -> int) list;
+      (** One in-flight getter per network or batcher the cluster built. *)
+  mutable phi : unit -> float array;
+      (** Per-site suspicion level for the φ columns; installed by the
+          healer. *)
+}
+
+(** Self-healing; present iff [params.heal]. *)
+type healing = {
+  corrupted : (int * int, unit) Hashtbl.t;
+      (** [(site, item)] replica copies scrambled by a [corrupt@] clause and
+          not yet repaired; cleared by recovery and anti-entropy. *)
+  stale_drop_ctr : Stats.counter;  (** ["heal.stale_drop"]. *)
+  corrupt_ctr : Stats.counter;
+      (** ["corrupt.items"], copies scrambled (cumulative; repairs do not
+          subtract). *)
+  mutable inflight_matching : ((src:int -> dst:int -> bool) -> int) list;
+      (** Per network or batcher: in-flight units on the pairs a predicate
+          selects; summed for the failover's weak drain. *)
+}
 
 type t = {
   sim : Sim.t;
@@ -36,90 +117,31 @@ type t = {
   locks : Lock_mgr.t array;
   cpus : Resource.t array;  (** One per machine; sites map round-robin. *)
   history : History.t;
-  metrics : Metrics.t;  (** Exact response samples and availability buckets. *)
   trace : Trace.t;  (** Structured event trace; disabled unless requested. *)
   stats : Stats.t;  (** Per-site counter/histogram registry; always on. *)
   prop_hist : Stats.histogram;  (** Propagation-delay histogram, per site. *)
+  spans : Span.t;
+      (** Transaction phase attribution (always on; registers the five
+          [span.*] histograms in [stats]). *)
   rng : Rng.t;  (** Workload stream; derived from [params.seed]. *)
   mutable next_gid : int;
   mutable next_attempt : int;
-  mutable outstanding : int;  (** In-flight messages / pending remote work. *)
-  mutable clients_running : int;
-  mutable stopped : bool;  (** Set once quiescent; periodic processes exit. *)
-  quiesced : Condvar.t;  (** Broadcast on transitions relevant to quiescence. *)
-  injector : Fault.injector option;
-      (** Built from [params.faults] when that schedule is non-empty; drives
-          the networks' drop/delay behaviour and {!schedule_faults}. *)
-  wals : Wal.t array;
-      (** Per-site redo logs, attached at creation — only under fault
-          injection ([[||]] otherwise), since hooking every write has a cost
-          and fault-free runs never crash. *)
-  site_up : bool array;
-  up_cv : Condvar.t array;  (** Per-site; broadcast when the site restarts. *)
   mutable deadline_at : float;
       (** Absolute deadline of the submit being started, armed by the client
           immediately before [submit]; protocols capture it at entry (there
           is no blocking point in between, so the handoff never mixes
           transactions). [infinity] when deadlines are off. *)
-  apply_mtime : float array array;
-      (** [site][item] — simulated time of the last write applied locally;
-          the staleness clock for partition-time local reads. *)
-  stale_hist : Stats.histogram option;
-      (** ["read.stale"], the staleness of each partition-time local read;
-          registered only when [params.stale_reads > 0], so stats tables
-          without the feature are unchanged. *)
   mutable config_epoch : int;
-      (** Configuration epoch; bumped once per executed reconfiguration
-          step. Propagation messages carry the epoch they were routed under
-          and assert it on arrival (drain makes violations impossible). *)
-  mutable reconfiguring : bool;  (** An epoch switch is in progress. *)
-  mutable active_txns : int;  (** Transaction attempts currently executing. *)
-  drained : Condvar.t;
-      (** Broadcast (while reconfiguring) when [active_txns] and
-          [outstanding] both reach 0. *)
-  resume : Condvar.t;  (** Broadcast when the epoch switch completes. *)
-  switch_hist : Stats.histogram option;
-      (** Drain + transfer + switch latency per executed operator step
-          (["reconfig.switch"], charged to site 0); registered only when a
-          reconfiguration plan exists, so static-topology stats tables are
-          unchanged. *)
-  stall_hist : Stats.histogram option;
-      (** Per-site client stall at the epoch barrier (["reconfig.stall"]);
-          registered iff {!reconfig_planned}. *)
-  spans : Span.t;
-      (** Transaction phase attribution (always on; registers the five
-          [span.*] histograms in [stats]). *)
-  profile : Profile.t;
-      (** The kernel's self-profiler; enabled iff [params.profile]. *)
-  timeline : Timeline.t option;
-      (** Sampled time series, present iff [params.timeline_every > 0];
-          filled by the driver's ticker via {!sample_timeline}. *)
-  commit_ctr : Stats.counter;  (** ["txn.commit"] — shared with the driver. *)
-  abort_ctr : Stats.counter;  (** ["txn.abort"]. *)
-  tl_commits_prev : int array;  (** Counter snapshots at the last sample. *)
-  tl_aborts_prev : int array;
-  lag_pending : int array;
-      (** Per site: propagated updates destined but not yet applied
-          (maintained only while a timeline exists). *)
-  lag_applied : float array;
-      (** Per site: origin-commit time of the newest update applied. *)
-  lag_seen : bool array;  (** Scratch for {!note_destined} deduplication. *)
-  mutable inflight_fns : (unit -> int) list;
-      (** One in-flight-message getter per network built by {!make_net}. *)
-  mutable inflight_matching_fns : ((src:int -> dst:int -> bool) -> int) list;
-      (** Per network/batcher: in-flight units on the pairs a predicate
-          selects; summed by {!parked_outstanding} for the weak drain. *)
-  corrupted : (int * int, unit) Hashtbl.t;
-      (** [(site, item)] replica copies scrambled by a [corrupt@] clause and
-          not yet repaired; cleared by recovery and anti-entropy. *)
-  mutable phi_fn : (unit -> float array) option;
-      (** Healer-installed sampler: per-site suspicion level for the
-          timeline's φ column. *)
-  stale_drop_ctr : Stats.counter option;
-      (** ["heal.stale_drop"]; registered only when [params.heal]. *)
-  corrupt_ctr : Stats.counter option;
-      (** ["corrupt.items"], copies scrambled (cumulative; repairs do not
-          subtract); registered only when [params.heal]. *)
+      (** Configuration epoch; bumped once per executed epoch switch.
+          Propagation messages carry the epoch they were routed under and
+          check it on arrival ({!stale_epoch}). *)
+  quiesce : quiescence;
+  mutable stopped : bool;  (** Set once quiescent; periodic processes exit. *)
+  faults : faults option;
+  stale : stale_reads option;
+  epochs : epochs option;
+  telemetry : telemetry option;
+  healing : healing option;
 }
 
 (** [create params] — build the cluster; the placement is drawn from a
@@ -144,15 +166,13 @@ val fresh_attempt : t -> int
 (** [use_cpu t site d] — consume [d] ms of the site's machine CPU (FIFO). *)
 val use_cpu : t -> int -> float -> unit
 
-(** Constant-latency function for building networks from [params.latency]. *)
-val latency_fn : t -> int -> int -> float
-
 (** [make_net ~describe t] — a fresh network wired to the cluster's
     simulation, latency, trace, stats registry (whose [msg.sent] total is
-    the run's message count) and in-flight accounting. Each protocol builds
-    its own typed network(s); [describe] tags traced messages with a kind
-    and an approximate size in bytes. *)
-val make_net : describe:('a -> string * int) -> t -> 'a Repdb_net.Network.t
+    the run's message count), fault injector and in-flight accounting. Each
+    protocol builds its own typed network(s); [describe] tags traced
+    messages with a kind and an approximate size in bytes; [arity] counts
+    the logical units one message carries (default 1). *)
+val make_net : ?arity:('a -> int) -> describe:('a -> string * int) -> t -> 'a Repdb_net.Network.t
 
 (** [make_batch_net ~describe_one t] — a network carrying per-pair coalesced
     update runs ([batch_size]/[batch_linger_ms] from the cluster's params).
@@ -179,17 +199,18 @@ val trace_txn_begin : t -> gid:int -> site:int -> unit
 val trace_txn_commit : t -> gid:int -> site:int -> unit
 val trace_txn_abort : t -> gid:int -> site:int -> Repdb_txn.Txn.abort_reason -> unit
 
-(** {1 Per-transaction deadlines} *)
+(** Intern a profiler category name in the kernel's self-profiler (cheap;
+    "other" when [params.profile] is off). *)
+val profile_cat : t -> string -> int
 
 (** Arm {!field:deadline_at} for the submit about to start: now +
     [params.txn_deadline], or [infinity] when deadlines are disabled. Called
     by the driver's client immediately before each attempt. *)
 val arm_deadline : t -> unit
 
-(** The currently armed absolute deadline (ms of simulated time). *)
-val deadline_at : t -> float
+(** {1 Bounded-staleness reads}
 
-(** {1 Bounded-staleness reads} *)
+    No-ops unless {!field:stale} is present. *)
 
 (** Stamp [item]'s local copy at [site] as written now. Called on every
     applied write (primary and replica). *)
@@ -202,53 +223,31 @@ val staleness : t -> site:int -> item:int -> float
     ["read.stale"] histogram and a [Stale_read] trace event. *)
 val record_stale_read : t -> site:int -> item:int -> staleness:float -> unit
 
-(** Record a replica update in the per-site propagation-delay histogram
-    ([prop.delay]) and (when enabled) the trace; also advances
-    the replication-lag bookkeeping when a timeline is being sampled. *)
-val record_propagation : t -> gid:int -> site:int -> delay:float -> unit
-
 (** {1 Replication-lag timeline}
 
-    All no-ops unless [params.timeline_every > 0]. *)
+    Only the propagation-delay histogram and the trace are kept unless
+    {!field:telemetry} is present. *)
+
+(** Record a replica update in the per-site propagation-delay histogram
+    ([prop.delay]) and (when enabled) the trace; also advances the
+    replication-lag bookkeeping. *)
+val record_propagation : t -> gid:int -> site:int -> delay:float -> unit
 
 (** [note_destined t ~items] — called by the transaction frame at
-    origin-commit time with the committed write set: every site holding a replica of a
-    written item gains one pending update (once per transaction). *)
+    origin-commit time with the committed write set: every site holding a
+    replica of a written item gains one pending update (once per
+    transaction). *)
 val note_destined : t -> items:int list -> unit
-
-(** Replication lag of [site], ms: 0 when no update is pending, otherwise
-    the age of the newest applied origin commit (so it grows in real time
-    while propagation is stalled, e.g. across a partition). *)
-val lag_of : t -> int -> float
-
-val timeline : t -> Timeline.t option
 
 (** Append one sample row (gauges now, commit/abort deltas since the last
     sample). The driver's ticker calls this every [params.timeline_every]
-    ms. *)
+    ms. Lag is 0 at a site with nothing pending, otherwise the age of the
+    newest applied origin commit (so it grows while propagation is stalled,
+    e.g. across a partition). *)
 val sample_timeline : t -> unit
 
-(** {1 Phase spans} *)
-
-(** [span_link t ~owner ~gid] — tie a lock-owner (attempt) id to its gid so
-    lock waits are attributed; the transaction frame calls it right after
-    allocating the client attempt id. *)
-val span_link : t -> owner:int -> gid:int -> unit
-
-(** Charge [dur] ms of a phase to the attempt linked as [owner]. *)
-val span_add : t -> owner:int -> Span.phase -> float -> unit
-
-(** Observe client think (retry backoff) time at [site]. *)
-val span_think : t -> site:int -> float -> unit
-
-val spans : t -> Span.t
-
-(** The kernel's self-profiler ({!Profile.disabled} unless
-    [params.profile]). *)
-val profile : t -> Profile.t
-
-(** Intern a profiler category name (cheap; "other" when disabled). *)
-val profile_cat : t -> string -> int
+(** Install the per-site suspicion sampler feeding the timeline φ columns. *)
+val set_phi_fn : t -> (unit -> float array) -> unit
 
 (** {1 Quiescence accounting} *)
 
@@ -263,81 +262,55 @@ val quiescent : t -> bool
 (** Block until {!quiescent}, then set [stopped]. *)
 val await_quiescence : t -> unit
 
+(** Bracket every transaction execution attempt (including retries); the
+    epoch drain counts attempts, not clients, because clients survive
+    epoch switches. *)
+val txn_started : t -> unit
+
+val txn_finished : t -> unit
+
 (** {1 Fault injection}
 
     Crashes are modelled at the storage and transport boundaries: while a
     site is down it is unreachable in both directions (the networks' acked
     links retry around the downtime) and its clients pause before starting
-    new transactions; at restart the volatile store is discarded and rebuilt
-    from the site's redo log. Work the site had already accepted completes —
-    the paper's durability story (DataBlitz redo recovery) covers committed
-    state, not scheduler state. *)
+    new transactions; at restart the volatile store is discarded, rebuilt
+    from the site's redo log and checked against the pre-crash contents
+    (a divergence raises [Failure]). Work the site had already accepted
+    completes — the paper's durability story (DataBlitz redo recovery)
+    covers committed state, not scheduler state. *)
 
-(** Is fault injection active (i.e. [params.faults] non-empty)? *)
-val faulty : t -> bool
-
+(** Is the site up? Always true without fault injection. *)
 val site_up : t -> int -> bool
 
 (** Block until the site is up; returns immediately if it already is.
     Clients call this before starting each transaction. *)
 val await_site_up : t -> int -> unit
 
-(** Mark the site down, count it in ["fault.crash"] and trace
-    [Site_crash]. Driven by {!schedule_faults}; exposed for tests. *)
-val crash_site : t -> site:int -> unit
-
-(** Restart the site: rebuild the store with [Wal.recover], verify the
-    rebuild matches the pre-crash contents exactly, install it, re-hook the
-    log ([Wal.reattach]), mark the site up and wake waiting clients.
-    @raise Failure if the recovered contents diverge from the live store. *)
-val recover_site : t -> site:int -> downtime:float -> unit
-
-(** Schedule every crash/restart in the fault schedule as simulation events,
-    plus trace marks for each partition begin and heal and a
-    ["fault.partition"] count (charged to site 0) per begin; no-op without
-    an injector. The driver calls this before starting clients. *)
+(** Schedule every crash/restart and corruption in the fault schedule as
+    simulation events, plus trace marks for each partition begin and heal
+    and a ["fault.partition"] count (charged to site 0) per begin; no-op
+    without fault injection. The driver calls this before starting
+    clients. *)
 val schedule_faults : t -> unit
 
-(** {1 Online reconfiguration}
+(** {1 Epoch switches}
 
-    The coordinator ({!Reconfig_exec}) executes each step of
-    [params.reconfig] live: it sets [reconfiguring], waits for the cluster to
-    drain (no executing transaction attempts, nothing outstanding — clients
-    stall at {!reconfig_barrier} meanwhile), bulk-transfers values to newly
-    added replicas, swaps [placement], bumps [config_epoch] and broadcasts
-    [resume]. These are the accounting hooks that protocol-independent drain
-    and stall measurement need. *)
+    An operator plan ({!Reconfig_exec}) and the healer's failovers
+    ({!Heal_exec}) switch epochs the same way: take the switch, stall
+    clients at {!reconfig_barrier}, drain, swap [placement], bump
+    [config_epoch] and release. The coordinator-side calls raise
+    [Invalid_argument] when {!field:epochs} is absent. *)
 
-(** Can the placement change mid-run — an operator plan is scheduled
-    ([params.reconfig] non-empty) or the healer may fail over
-    ([params.heal])? Protocols use this to provision appliers for sites
-    that could acquire a tree parent at a later epoch. *)
-val reconfig_planned : t -> bool
-
-(** Bracket every transaction execution attempt (including retries); the
-    drain condition counts attempts, not clients, because clients survive
-    epoch switches. *)
-val txn_started : t -> unit
-
-val txn_finished : t -> unit
-
-(** Block until no attempt is executing and nothing is outstanding. Only the
-    coordinator calls this, after setting [reconfiguring] (the broadcasts
-    fire only in that state). *)
+(** Block until no attempt is executing and nothing is outstanding. Only a
+    coordinator calls this, after {!acquire_switch} (the broadcasts fire
+    only while reconfiguring). *)
 val await_drained : t -> unit
 
 (** Stall while an epoch switch is in progress; no-op otherwise. Records the
     stall in [stall_hist], charged to [site]. Clients call this before
     generating each transaction. *)
 val reconfig_barrier : t -> site:int -> unit
-
-(** {1 Self-healing}
-
-    Hooks used by {!Heal_exec} (the φ-accrual detector, failover coordinator
-    and anti-entropy repairer); all idle unless [params.heal]. *)
-
-(** Is the self-healing subsystem enabled ([params.heal])? *)
-val heal_planned : t -> bool
 
 (** Acquire the exclusive right to run an epoch switch: waits while another
     switch (operator reconfiguration or healer failover) is in progress, then
@@ -348,13 +321,16 @@ val acquire_switch : t -> unit
     any coordinator queued at {!acquire_switch}. *)
 val release_switch : t -> unit
 
-(** In-flight messages parked behind the outage itself: traffic on pairs with
-    a down endpoint or an active partition between them. *)
-val parked_outstanding : t -> int
+(** {1 Self-healing}
+
+    Hooks used by {!Heal_exec} (the φ-accrual detector, failover coordinator
+    and anti-entropy repairer). *)
 
 (** The healer's weak drain condition: no transaction attempt executing and
-    nothing in flight except {!parked_outstanding} traffic. The caller must
-    poll (with settle delays) — parked counts change without broadcasts. *)
+    nothing in flight except traffic parked behind the outage itself (on
+    pairs with a down endpoint or an active partition between them). The
+    caller must poll (with settle delays) — parked counts change without
+    broadcasts. *)
 val weak_drained : t -> bool
 
 (** [stale_epoch t ~site ~epoch] — true iff [epoch] predates the current
@@ -365,16 +341,6 @@ val weak_drained : t -> bool
     @raise Failure when healing is off (the strong drain makes a stale epoch
     a protocol bug there). *)
 val stale_epoch : t -> site:int -> epoch:int -> bool
-
-(** Install the per-site suspicion sampler feeding the timeline φ columns. *)
-val set_phi_fn : t -> (unit -> float array) -> unit
-
-(** [corrupt_site t ~site ~prob ~clause] — scramble each replica copy at
-    [site] with probability [prob] via the log-bypassing [Store.restore]
-    (primary copies are never touched), counting the event in
-    ["corrupt.events"] and the copies in ["corrupt.items"]. Deterministic in
-    [(seed, clause)]. Driven by {!schedule_faults}; exposed for tests. *)
-val corrupt_site : t -> site:int -> prob:float -> clause:int -> unit
 
 (** Clear a corruption mark (the healer repaired or re-verified the copy). *)
 val clear_corrupt : t -> site:int -> item:int -> unit

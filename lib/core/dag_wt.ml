@@ -72,7 +72,7 @@ let create_with_tree (c : Cluster.t) tr =
      feed the event tie-break order, and static runs must stay
      byte-identical. *)
   Exec.spawn_servers c (fun site ->
-      if Cluster.reconfig_planned c || Tree.parent tr site <> -1 then [ (fun () -> applier t site) ]
+      if Option.is_some c.epochs || Tree.parent tr site <> -1 then [ (fun () -> applier t site) ]
       else []);
   t
 

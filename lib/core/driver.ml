@@ -8,6 +8,7 @@ module Txn = Repdb_txn.Txn
 module Serializability = Repdb_txn.Serializability
 
 module Stats = Repdb_obs.Stats
+module Span = Repdb_obs.Span
 module Trace = Repdb_obs.Trace
 module Timeline = Repdb_obs.Timeline
 module Profile = Repdb_obs.Profile
@@ -37,13 +38,45 @@ type report = {
   profile : Profile.t;
 }
 
-let client (c : Cluster.t) submit gen rng retry_rng ~site =
-  let p = c.params in
+let client (c : Cluster.t) metrics submit gen rng retry_rng ~site =
   let response_hist = Stats.histogram c.stats "response" in
-  for _ = 1 to p.txns_per_thread do
+  let commit_ctr = Stats.counter c.stats "txn.commit" in
+  let abort_ctr = Stats.counter c.stats "txn.abort" in
+  (* Built once per client: the retry closure below, allocated per
+     transaction, captures these two instead of every handle they use. *)
+  let committed ~start =
+    let now = Sim.now c.sim in
+    let response = now -. start in
+    Stats.incr commit_ctr ~site;
+    Stats.observe response_hist ~site response;
+    Metrics.commit metrics ~at:now ~response
+  in
+  (* Count the abort; under a backoff policy with retries left, sleep the
+     backoff and answer true. *)
+  let aborted reason ~n_failed =
+    Stats.incr abort_ctr ~site;
+    (* Found or registered by name, so a stats table shows only the reasons
+       that occurred, in order of first occurrence. *)
+    Stats.incr (Stats.counter c.stats (Metrics.abort_counter_name reason)) ~site;
+    Metrics.abort metrics ~at:(Sim.now c.sim);
+    match c.params.retry with
+    | Params.No_retry -> false
+    | Params.Backoff { base; multiplier; cap; max_retries } ->
+        n_failed < max_retries
+        && begin
+             let backoff = Float.min cap (base *. (multiplier ** float_of_int n_failed)) in
+             (* Jitter in [0.5, 1.0), drawn from the dedicated per-client
+                stream so retries never perturb the workload draws. *)
+             let think = backoff *. (0.5 +. (0.5 *. Rng.float retry_rng)) in
+             Sim.delay think;
+             Span.think c.spans ~site think;
+             true
+           end
+  in
+  for _ = 1 to c.params.txns_per_thread do
     (* A crashed site accepts no new transactions; its clients pause until
        the restart broadcast. *)
-    if Cluster.faulty c then Cluster.await_site_up c site;
+    Cluster.await_site_up c site;
     (* An in-progress epoch switch stalls the client here (the mid-run
        throughput dip the reconfig experiment measures). *)
     Cluster.reconfig_barrier c ~site;
@@ -66,42 +99,19 @@ let client (c : Cluster.t) submit gen rng retry_rng ~site =
       let outcome = submit !spec in
       Cluster.txn_finished c;
       match outcome with
-      | Txn.Committed ->
-          let now = Sim.now c.sim in
-          let response = now -. start in
-          Stats.incr c.commit_ctr ~site;
-          Stats.observe response_hist ~site response;
-          Metrics.commit c.metrics ~at:now ~response
-      | Txn.Aborted reason -> (
-          Stats.incr c.abort_ctr ~site;
-          (* Found or registered by name, so a stats table shows only the
-             reasons that occurred, in order of first occurrence. *)
-          Stats.incr (Stats.counter c.stats (Metrics.abort_counter_name reason)) ~site;
-          Metrics.abort c.metrics ~at:(Sim.now c.sim);
-          match p.retry with
-          | Params.No_retry -> ()
-          | Params.Backoff { base; multiplier; cap; max_retries } ->
-              if n_failed < max_retries then begin
-                let backoff =
-                  Float.min cap (base *. (multiplier ** float_of_int n_failed))
-                in
-                (* Jitter in [0.5, 1.0), drawn from the dedicated per-client
-                   stream so retries never perturb the workload draws. *)
-                let think = backoff *. (0.5 +. (0.5 *. Rng.float retry_rng)) in
-                Sim.delay think;
-                Cluster.span_think c ~site think;
-                attempt (n_failed + 1)
-              end)
+      | Txn.Committed -> committed ~start
+      | Txn.Aborted reason -> if aborted reason ~n_failed then attempt (n_failed + 1)
     in
     attempt 0
   done;
+  Metrics.client_done metrics ~time:(Sim.now c.sim);
   Cluster.client_finished c
 
 let run_on (c : Cluster.t) (module P : Protocol.S) =
   let p = c.params in
   (* Refuse unsupported combinations up front, before any simulation runs. *)
   let reconfig_hook : P.t -> unit =
-    if not (Cluster.reconfig_planned c) then fun _ -> ()
+    if Option.is_none c.epochs then fun _ -> ()
     else
       match P.reconfigure with
       | Some f -> f
@@ -112,6 +122,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
                 else "online reconfiguration"))
   in
   let proto = P.create c in
+  let metrics = Metrics.create () in
   let gen = Generator.create c.rng p c.placement in
   let cat_client = Cluster.profile_cat c "client" in
   for site = 0 to p.n_sites - 1 do
@@ -122,7 +133,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
          the workload stream, and vice versa. *)
       let retry_rng = Rng.create ((p.seed * 48271) + (site * 131) + thread) in
       Sim.spawn ~cat:cat_client c.sim (fun () ->
-          client c (P.submit proto) gen rng retry_rng ~site)
+          client c metrics (P.submit proto) gen rng retry_rng ~site)
     done
   done;
   Cluster.schedule_faults c;
@@ -134,7 +145,8 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
   (* The timeline ticker: samples every [timeline_every] ms of simulated
      time and stops rescheduling once the run is quiescent, so it never
      keeps the drain phase alive. *)
-  (match c.timeline with
+  let timeline = Option.map (fun (tm : Cluster.telemetry) -> tm.timeline) c.telemetry in
+  (match timeline with
   | None -> ()
   | Some tl ->
       Timeline.set_meta tl [ ("protocol", P.name); ("seed", string_of_int p.seed) ];
@@ -158,7 +170,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
   if not (Cluster.quiescent c) then
     failwith
       (Printf.sprintf "Driver.run: %s failed to quiesce (clients=%d outstanding=%d t=%.0fms)"
-         P.name c.clients_running c.outstanding (Sim.now c.sim));
+         P.name c.quiesce.clients_running c.quiesce.outstanding (Sim.now c.sim));
   (* Drain any leftover timer wake-ups past the stop flag. *)
   Sim.run c.sim;
   (* With healing on, one last full anti-entropy sweep after quiescence: the
@@ -170,10 +182,10 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
       Heal_exec.final_sweep h;
       Sim.run c.sim);
   let heal_summary = Option.map Heal_exec.summary healer in
-  let summary = Metrics.summarize c.metrics c.stats in
+  let summary = Metrics.summarize metrics c.stats in
   (* Fold the end-of-run breakdown into the timeline metadata so `repdb
      report` can render it from the CSV alone. *)
-  (match c.timeline with
+  (match timeline with
   | None -> ()
   | Some tl ->
       let aborts =
@@ -226,12 +238,14 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
     crashes = total "fault.crash";
     msg_drops = total "msg.drop";
     partitions = total "fault.partition";
-    reconfigs = Option.fold ~none:0 ~some:(Stats.histogram_count ~site:(-1)) c.switch_hist;
+    reconfigs =
+      Option.fold ~none:0 ~some:(fun e -> Stats.histogram_count e.Cluster.switch_hist ~site:(-1)) c.epochs;
     state_transfers = total "reconfig.transfer";
-    reconfig_stall = Option.fold ~none:0.0 ~some:(Stats.histogram_sum ~site:(-1)) c.stall_hist;
+    reconfig_stall =
+      Option.fold ~none:0.0 ~some:(fun e -> Stats.histogram_sum e.Cluster.stall_hist ~site:(-1)) c.epochs;
     heal = heal_summary;
-    timeline = c.timeline;
-    profile = c.profile;
+    timeline;
+    profile = Sim.profile c.sim;
   }
 
 let run ?placement ?trace ?trace_capacity params protocol =

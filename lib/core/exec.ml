@@ -67,7 +67,7 @@ let commit_cost ?owner (c : Cluster.t) ~site =
   | Some owner ->
       let t0 = Sim.now c.sim in
       Cluster.use_cpu c site c.params.cpu_commit;
-      Cluster.span_add c ~owner Span.Commit (Sim.now c.sim -. t0)
+      Span.add c.spans ~owner Span.Commit (Sim.now c.sim -. t0)
 
 let release (c : Cluster.t) ~attempt ~site = Lock_mgr.release_all c.locks.(site) ~owner:attempt
 
@@ -111,17 +111,17 @@ type frame = {
 
 let begin_ ?(attempt_is_gid = false) (c : Cluster.t) (spec : Txn.spec) =
   let site = spec.origin in
-  let deadline_at = Cluster.deadline_at c in
+  let deadline_at = c.deadline_at in
   let gid = Cluster.fresh_gid c in
   let attempt = if attempt_is_gid then gid else Cluster.fresh_attempt c in
   Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
+  Span.link c.spans ~owner:attempt ~gid;
   { c; site; gid; attempt; writes = List.sort_uniq compare (Txn.writes spec); deadline_at }
 
 let prop_wait f wait =
   let t0 = Sim.now f.c.sim in
   let r = wait () in
-  Cluster.span_add f.c ~owner:f.attempt Span.Prop_wait (Sim.now f.c.sim -. t0);
+  Span.add f.c.spans ~owner:f.attempt Span.Prop_wait (Sim.now f.c.sim -. t0);
   r
 
 let abort_traced ~trace_first ?(cleanup = ignore) f reason =

@@ -94,6 +94,7 @@ type summary = {
 
 type t = {
   c : Cluster.t;
+  epochs : Cluster.epochs;
   net : msg Network.t;
   reconfigure : unit -> unit;
   gen : Generator.t;
@@ -513,7 +514,7 @@ let start_anti_entropy t =
           Sim.delay c.params.anti_entropy_every;
           (* Pause the scan during epoch switches: sessions read the
              placement and must not race the swap. *)
-          if (not c.stopped) && not c.reconfiguring then begin
+          if (not c.stopped) && not t.epochs.reconfiguring then begin
             match pairs_of c.placement m with
             | [] -> ()
             | pairs ->
@@ -535,8 +536,9 @@ let schedule (c : Cluster.t) ~reconfigure ~gen =
      the data nets, but no stats/trace/outstanding coupling — heartbeat spam
      stays out of the comparable data-plane metrics. *)
   let net =
-    Network.create ~sim:c.sim ~n_sites:m ~latency:(Cluster.latency_fn c) ~describe:describe_msg
-      ?injector:c.injector ()
+    Network.create ~sim:c.sim ~n_sites:m ~latency:c.lat_fn ~describe:describe_msg
+      ?injector:(Option.map (fun (f : Cluster.faults) -> f.injector) c.faults)
+      ()
   in
   let now = Sim.now c.sim in
   let dets =
@@ -547,6 +549,7 @@ let schedule (c : Cluster.t) ~reconfigure ~gen =
   let t =
     {
       c;
+      epochs = Option.get c.epochs;
       net;
       reconfigure;
       gen;

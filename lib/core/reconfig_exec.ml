@@ -30,7 +30,7 @@ let additions (old_pl : Placement.t) (np : Placement.t) =
 
 (* One reconfiguration step, live:
    quiesce -> state transfer -> quiesce -> atomic switch -> resume. *)
-let execute_step (c : Cluster.t) net ~reconfigure ~gen (ts : Reconfig.timed) =
+let execute_step (c : Cluster.t) (e : Cluster.epochs) net ~reconfigure ~gen (ts : Reconfig.timed) =
   let t0 = Sim.now c.sim in
   if Trace.on c.trace then Trace.record c.trace (Event.Reconfig_begin { epoch = c.config_epoch });
   (* Stall clients at the barrier and wait until no transaction attempt is
@@ -61,7 +61,7 @@ let execute_step (c : Cluster.t) net ~reconfigure ~gen (ts : Reconfig.timed) =
   Generator.refresh gen np;
   c.config_epoch <- c.config_epoch + 1;
   let switch = Sim.now c.sim -. t0 in
-  Option.iter (fun h -> Stats.observe h ~site:0 switch) c.switch_hist;
+  Stats.observe e.switch_hist ~site:0 switch;
   let epoch = c.config_epoch in
   if Trace.on c.trace then Trace.record c.trace (Event.Reconfig_switch { epoch; duration = switch });
   Cluster.release_switch c;
@@ -79,7 +79,8 @@ let receive_server (c : Cluster.t) net xfer_ctr site =
 
 let schedule (c : Cluster.t) ~reconfigure ~gen =
   let plan = c.params.reconfig in
-  if not (Reconfig.is_empty plan) then begin
+  match c.epochs with
+  | Some e when not (Reconfig.is_empty plan) ->
     let net = Cluster.make_net c ~describe:describe_xfer in
     let xfer_ctr = Stats.counter c.stats "reconfig.transfer" in
     let cat = Cluster.profile_cat c "reconfig" in
@@ -91,6 +92,6 @@ let schedule (c : Cluster.t) ~reconfigure ~gen =
           (fun (ts : Reconfig.timed) ->
             let now = Sim.now c.sim in
             if ts.at > now then Sim.delay (ts.at -. now);
-            execute_step c net ~reconfigure ~gen ts)
+            execute_step c e net ~reconfigure ~gen ts)
           plan.steps)
-  end
+  | _ -> ()

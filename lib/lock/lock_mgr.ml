@@ -48,22 +48,24 @@ type t = {
   held : (owner, (item * mode) list ref) Hashtbl.t; (* for release_all *)
   waiting : (owner, request) Hashtbl.t;
   mutable arrivals : int;
-  mutable n_acquires : int;
-  mutable n_waits : int;
-  mutable n_timeouts : int;
-  mutable n_deadlock_aborts : int;
-  site : int; (* tag on emitted events; 0 for stand-alone managers *)
+  site : int; (* tag on emitted events and counter slot; 0 for stand-alone managers *)
   cat : int; (* profiler category for timeout timers *)
   on_wait : owner:owner -> dur:float -> unit;
   trace : Trace.t;
-  s_acquires : Stats.counter option;
-  s_waits : Stats.counter option;
-  s_timeouts : Stats.counter option;
-  s_deadlocks : Stats.counter option;
+  s_acquires : Stats.counter;
+  s_waits : Stats.counter;
+  s_timeouts : Stats.counter;
+  s_deadlocks : Stats.counter;
 }
 
 let create ~sim ~policy ?(site = 0) ?(trace = Trace.disabled) ?stats ?(remap = Fun.id)
     ?(on_wait = fun ~owner:_ ~dur:_ -> ()) () =
+  let stats = match stats with Some s -> s | None -> Stats.create ~n_sites:(site + 1) () in
+  (* Registration order is the stats table's column order. *)
+  let s_deadlocks = Stats.counter stats "lock.ddl" in
+  let s_timeouts = Stats.counter stats "lock.tmo" in
+  let s_waits = Stats.counter stats "lock.wait" in
+  let s_acquires = Stats.counter stats "lock.acq" in
   {
     sim;
     policy;
@@ -72,22 +74,17 @@ let create ~sim ~policy ?(site = 0) ?(trace = Trace.disabled) ?stats ?(remap = F
     held = Hashtbl.create 64;
     waiting = Hashtbl.create 64;
     arrivals = 0;
-    n_acquires = 0;
-    n_waits = 0;
-    n_timeouts = 0;
-    n_deadlock_aborts = 0;
     site;
     cat = Profile.cat (Sim.profile sim) "lock";
     on_wait;
     trace;
-    s_acquires = Option.map (fun s -> Stats.counter s "lock.acq") stats;
-    s_waits = Option.map (fun s -> Stats.counter s "lock.wait") stats;
-    s_timeouts = Option.map (fun s -> Stats.counter s "lock.tmo") stats;
-    s_deadlocks = Option.map (fun s -> Stats.counter s "lock.ddl") stats;
+    s_acquires;
+    s_waits;
+    s_timeouts;
+    s_deadlocks;
   }
 
 let obs_mode = function Shared -> Event.Shared | Exclusive -> Event.Exclusive
-let bump c site = match c with Some c -> Stats.incr c ~site | None -> ()
 
 let entry_of t item =
   let slot = t.remap item in
@@ -162,8 +159,7 @@ let rec service t item e =
         e.n_live <- e.n_live - 1;
         req.state <- `Done;
         Hashtbl.remove t.waiting req.req_owner;
-        t.n_acquires <- t.n_acquires + 1;
-        bump t.s_acquires t.site;
+        Stats.incr t.s_acquires ~site:t.site;
         if Trace.on t.trace then
           Trace.record t.trace
             (Event.Lock_grant
@@ -179,14 +175,12 @@ let fail_request t req outcome =
     Hashtbl.remove t.waiting req.req_owner;
     (match outcome with
     | Timed_out ->
-        t.n_timeouts <- t.n_timeouts + 1;
-        bump t.s_timeouts t.site;
+        Stats.incr t.s_timeouts ~site:t.site;
         if Trace.on t.trace then
           Trace.record t.trace
             (Event.Lock_timeout { site = t.site; owner = req.req_owner; item = req.req_item })
     | Deadlock_victim ->
-        t.n_deadlock_aborts <- t.n_deadlock_aborts + 1;
-        bump t.s_deadlocks t.site;
+        Stats.incr t.s_deadlocks ~site:t.site;
         if Trace.on t.trace then
           Trace.record t.trace
             (Event.Lock_deadlock { site = t.site; owner = req.req_owner; item = req.req_item })
@@ -274,8 +268,7 @@ let rec acquire t ~owner item mode =
   in
   match (current_mode e.holding, mode) with
   | Some Exclusive, _ | Some Shared, Shared ->
-      t.n_acquires <- t.n_acquires + 1;
-      bump t.s_acquires t.site;
+      Stats.incr t.s_acquires ~site:t.site;
       trace_grant t ~owner item mode;
       Granted (* re-entrant *)
   | Some Shared, Exclusive -> begin
@@ -284,8 +277,7 @@ let rec acquire t ~owner item mode =
       | [ (o, Shared) ] when o = owner ->
           e.holding <- [ (owner, Exclusive) ];
           record_hold t ~owner item Exclusive;
-          t.n_acquires <- t.n_acquires + 1;
-          bump t.s_acquires t.site;
+          Stats.incr t.s_acquires ~site:t.site;
           trace_grant t ~owner item Exclusive;
           Granted
       | _ ->
@@ -308,8 +300,7 @@ let rec acquire t ~owner item mode =
       if (not (has_live_queue e)) && compatible mode e.holding then begin
         e.holding <- (owner, mode) :: e.holding;
         record_hold t ~owner item mode;
-        t.n_acquires <- t.n_acquires + 1;
-        bump t.s_acquires t.site;
+        Stats.incr t.s_acquires ~site:t.site;
         trace_grant t ~owner item mode;
         Granted
       end
@@ -331,8 +322,7 @@ let rec acquire t ~owner item mode =
       end
 
 and wait t req =
-  t.n_waits <- t.n_waits + 1;
-  bump t.s_waits t.site;
+  Stats.incr t.s_waits ~site:t.site;
   if Trace.on t.trace then
     Trace.record t.trace
       (Event.Lock_wait
@@ -394,11 +384,12 @@ let holds t ~owner item =
     go t.entries.(slot).holding
 
 let stats t =
+  let value c = Stats.counter_value c ~site:t.site in
   {
-    acquires = t.n_acquires;
-    waits = t.n_waits;
-    timeouts = t.n_timeouts;
-    deadlock_aborts = t.n_deadlock_aborts;
+    acquires = value t.s_acquires;
+    waits = value t.s_waits;
+    timeouts = value t.s_timeouts;
+    deadlock_aborts = value t.s_deadlocks;
   }
 
 let locks_held t = Array.fold_left (fun acc e -> acc + List.length e.holding) 0 t.entries

@@ -48,11 +48,12 @@ type t
 
     Observability: when [trace] is enabled, every request, grant, wait,
     timeout, deadlock victimisation and release is recorded as a typed event
-    tagged with [site] (default [0]); when [stats] is given, per-site
-    ["lock.acq"] / ["lock.wait"] / ["lock.tmo"] / ["lock.ddl"] counters are
-    registered and bumped. [on_wait ~owner ~dur] fires after every blocked
-    request resolves (granted or failed) with the simulated ms it waited —
-    the span layer's lock-wait attribution hook.
+    tagged with [site] (default [0]). The ["lock.acq"] / ["lock.wait"] /
+    ["lock.tmo"] / ["lock.ddl"] counters are registered in [stats] and bumped
+    at [site]; without [stats] the manager keeps a registry of its own.
+    [on_wait ~owner ~dur] fires after every blocked request resolves
+    (granted or failed) with the simulated ms it waited — the span layer's
+    lock-wait attribution hook.
 
     [remap] maps external item ids to dense lock-table slots (default:
     identity). Under partial replication a site only ever locks the items
@@ -98,6 +99,7 @@ val abort_waiter : t -> owner:owner -> bool
 (** [holds t ~owner item] — does [owner] currently hold a lock on [item]? *)
 val holds : t -> owner:owner -> item -> mode option
 
+(** This manager's [lock.*] counters at its site. *)
 val stats : t -> stats
 
 (** Total locks currently held (for invariant checks in tests). *)

@@ -286,6 +286,67 @@ let test_cluster_straggler () =
   checkf "slow machine" 40.0 !t0;
   checkf "normal machine" 10.0 !t1
 
+(* Each optional feature keeps its state in one sub-record, [Some] exactly
+   when the feature is on (healing also switches epochs on: a failover is an
+   epoch switch), and a feature that is off registers none of its Stats
+   names. Each input is a full driver run, so names registered mid-run (a
+   crash, a dropped message, a failover) count too. *)
+let test_cluster_feature_records () =
+  let base =
+    { Params.default with n_sites = 4; n_items = 40; threads_per_site = 1; txns_per_thread = 10 }
+  in
+  let ok = function Ok v -> v | Error m -> failwith m in
+  (* name, switched on, Stats name prefixes it owns *)
+  let features =
+    [
+      ( "faults",
+        (fun p -> { p with Params.faults = ok (Repdb_fault.Fault.of_string "crash@20:site=1,down=30") }),
+        [ "fault."; "msg.drop" ] );
+      ("stale reads", (fun p -> { p with Params.stale_reads = 100.0 }), [ "read." ]);
+      ( "epochs",
+        (fun p -> { p with Params.reconfig = ok (Repdb_reconfig.Reconfig.of_string "add@30:item=2,site=3") }),
+        [ "reconfig." ] );
+      ("telemetry", (fun p -> { p with Params.timeline_every = 10.0 }), []);
+      ( "healing",
+        (fun p -> { p with Params.heal = true; txn_deadline = 400.0 }),
+        [ "heal."; "corrupt."; "detector."; "repair." ] );
+    ]
+  in
+  let present (c : Cluster.t) =
+    [
+      ("faults", Option.is_some c.faults);
+      ("stale reads", Option.is_some c.stale);
+      ("epochs", Option.is_some c.epochs);
+      ("telemetry", Option.is_some c.telemetry);
+      ("healing", Option.is_some c.healing);
+    ]
+  in
+  let check_run label ~on params =
+    let c = Cluster.create params in
+    ignore (Repdb.Driver.run_on c (module Repdb.Backedge_proto : Repdb.Protocol.S));
+    let names = Stats.counter_names c.stats @ Stats.histogram_names c.stats in
+    List.iter
+      (fun (feature, is_present) ->
+        checkb (Printf.sprintf "%s: %s present" label feature) (List.mem feature on) is_present)
+      (present c);
+    List.iter
+      (fun (feature, _, prefixes) ->
+        let owned =
+          List.filter (fun n -> List.exists (fun prefix -> String.starts_with ~prefix n) prefixes) names
+        in
+        if not (List.mem feature on) then
+          Alcotest.(check (list string)) (Printf.sprintf "%s: no %s names" label feature) [] owned
+        else if prefixes <> [] then
+          checkb (Printf.sprintf "%s: %s names registered" label feature) true (owned <> []))
+      features
+  in
+  check_run "all off" ~on:[] base;
+  List.iter
+    (fun (feature, switch_on, _) ->
+      let on = if feature = "healing" then [ feature; "epochs" ] else [ feature ] in
+      check_run feature ~on (switch_on base))
+    features
+
 (* --- experiment plumbing ---------------------------------------------------- *)
 
 let tiny = { Params.default with n_sites = 3; n_items = 12; threads_per_site = 1; txns_per_thread = 5 }
@@ -333,6 +394,7 @@ let () =
           Alcotest.test_case "quiescence accounting" `Quick test_cluster_quiescence_accounting;
           Alcotest.test_case "deadlock policy param" `Quick test_cluster_deadlock_policy_param;
           Alcotest.test_case "straggler machine" `Quick test_cluster_straggler;
+          Alcotest.test_case "feature sub-records" `Quick test_cluster_feature_records;
         ] );
       ( "experiment",
         [

@@ -272,6 +272,8 @@ let test_recovery_drill_ran () =
   checkb "sites back up" true (Repdb.Cluster.site_up c 1 && Repdb.Cluster.site_up c 3);
   (* The wals are still attached: a fresh recovery reproduces the final
      stores, including post-restart writes. *)
+  let faults = Option.get c.faults in
+  checki "one wal per site" c.params.n_sites (Array.length faults.wals);
   Array.iteri
     (fun site wal ->
       checkb
@@ -279,7 +281,7 @@ let test_recovery_drill_ran () =
         true
         (Repdb_store.Store.contents (Repdb_store.Wal.recover wal ~site)
         = Repdb_store.Store.contents c.stores.(site)))
-    c.wals
+    faults.wals
 
 let test_fault_sweep_deterministic_across_pools () =
   (* The fault sweep's CSV must be identical sequentially and on a domain
@@ -328,12 +330,16 @@ let test_partition_crash_retry_deterministic () =
 
 let test_no_faults_is_noop () =
   (* An empty schedule must leave the fault machinery entirely out of the
-     path: no injector, no wals, and a report identical to the seed's
-     fault-free behaviour. *)
+     path: no fault state (so no injector and no wal hooked to any store),
+     no fault counters, and a report identical to the seed's fault-free
+     behaviour. *)
   let params = { fault_params with Params.faults = Fault.empty } in
   let r, c = run_report ~params (module Repdb.Backedge_proto : Repdb.Protocol.S) in
-  checkb "no injector" false (Repdb.Cluster.faulty c);
-  checki "no wals attached" 0 (Array.length c.wals);
+  checkb "no injector, no wals attached" true (Option.is_none c.faults);
+  checkb "no fault counters registered" false
+    (List.exists
+       (fun n -> String.starts_with ~prefix:"fault." n || n = "msg.drop")
+       (Repdb_obs.Stats.counter_names c.stats));
   checki "no crashes" 0 r.crashes;
   checki "no drops" 0 r.msg_drops
 

@@ -249,7 +249,11 @@ let test_empty_plan_is_noop () =
   checki "no switches" 0 r.reconfigs;
   checki "no transfers" 0 r.state_transfers;
   checkf "no stall" 0.0 r.reconfig_stall;
-  checkb "no reconfig histograms registered" true (c.switch_hist = None && c.stall_hist = None)
+  checkb "no epoch state" true (Option.is_none c.epochs);
+  checkb "no reconfig histograms registered" false
+    (List.exists
+       (String.starts_with ~prefix:"reconfig.")
+       (Repdb_obs.Stats.histogram_names c.stats))
 
 (* --- rebuilt tree / routing (QCheck) ---------------------------------------- *)
 
