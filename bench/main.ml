@@ -14,8 +14,7 @@
    [-j N] runs the independent simulations of each target on N domains
    (default: Domain.recommended_domain_count () - 1, at least 1). Output is
    bit-identical to [-j 1] — tasks land by input index and each owns its
-   whole simulator state. [--chunk N] fixes the pool's claim size (default:
-   the adaptive heuristic, tasks / (domains * 4)). *)
+   whole simulator state. *)
 
 module Params = Repdb_workload.Params
 module Experiment = Repdb.Experiment
@@ -28,33 +27,28 @@ let txns_per_thread =
 
 let base = { Params.default with txns_per_thread }
 
-let jobs, chunk, requested =
+let jobs, requested =
   let bad arg =
-    Fmt.epr "bad argument %s: expected -j N or --chunk N with N >= 1@." arg;
+    Fmt.epr "bad argument %s: expected -j N with N >= 1@." arg;
     exit 1
   in
-  let rec parse jobs chunk acc = function
-    | [] -> (jobs, chunk, List.rev acc)
+  let rec parse jobs acc = function
+    | [] -> (jobs, List.rev acc)
     | "-j" :: n :: rest -> (
         match int_of_string_opt n with
-        | Some j when j >= 1 -> parse j chunk acc rest
+        | Some j when j >= 1 -> parse j acc rest
         | _ -> bad ("-j " ^ n))
     | [ "-j" ] -> bad "-j"
-    | "--chunk" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some c when c >= 1 -> parse jobs (Some c) acc rest
-        | _ -> bad ("--chunk " ^ n))
-    | [ "--chunk" ] -> bad "--chunk"
     | arg :: rest when String.length arg > 2 && String.sub arg 0 2 = "-j" -> (
         let n = String.sub arg 2 (String.length arg - 2) in
         match int_of_string_opt n with
-        | Some j when j >= 1 -> parse j chunk acc rest
+        | Some j when j >= 1 -> parse j acc rest
         | _ -> bad arg)
-    | arg :: rest -> parse jobs chunk (arg :: acc) rest
+    | arg :: rest -> parse jobs (arg :: acc) rest
   in
-  parse (Pool.default_domains ()) None [] (List.tl (Array.to_list Sys.argv))
+  parse (Pool.default_domains ()) [] (List.tl (Array.to_list Sys.argv))
 
-let pool = if jobs > 1 then Some (Pool.create ?chunk ~domains:jobs ()) else None
+let pool = if jobs > 1 then Some (Pool.create ~domains:jobs ()) else None
 
 (* Parallel map for this file's own seed loops; sequential without a pool. *)
 let par_map arr ~f = match pool with Some p -> Pool.map p arr ~f | None -> Array.map f arr

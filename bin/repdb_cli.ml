@@ -378,20 +378,10 @@ let jobs_term =
            to $(b,-j 1): every run owns its simulator and RNG, and results are ordered by \
            input index. $(b,-j 1) is the plain sequential path.")
 
-let chunk_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Tasks claimed per atomic increment by each pool domain. Defaults to the adaptive \
-           heuristic $(b,max 1 (tasks / (domains * 4))); $(b,1) is finest-grained stealing, \
-           values above the task count collapse to a single claim. No effect at $(b,-j 1).")
-
 (* Run [f] with a pool of [jobs] domains (or none for [jobs <= 1]), shutting
    the pool down afterwards. *)
-let with_jobs ?chunk jobs f =
-  if jobs > 1 then Pool.with_pool ?chunk ~domains:jobs (fun pool -> f (Some pool)) else f None
+let with_jobs jobs f =
+  if jobs > 1 then Pool.with_pool ~domains:jobs (fun pool -> f (Some pool)) else f None
 
 let experiment_cmd =
   (* Both the help text and the dispatch come from [Experiment.registry], so
@@ -417,7 +407,7 @@ let experiment_cmd =
              (point, protocol) into $(docv) (created if missing). Render each with $(b,repdb \
              report).")
   in
-  let run params exp_name steps csv jobs chunk timeline_dir ((_, every, _) as obs) =
+  let run params exp_name steps csv jobs timeline_dir ((_, every, _) as obs) =
     (* [--timeline-dir] turns sampling on for every run of the sweep; a bare
        [--timeline FILE] is meaningless here and ignored in favour of it. *)
     let base =
@@ -431,7 +421,7 @@ let experiment_cmd =
           (String.concat ", " Repdb.Experiment.ids);
         exit 1
     | Some entry ->
-        with_jobs ?chunk jobs (fun pool ->
+        with_jobs jobs (fun pool ->
             let outcome = Repdb.Experiment.run ?pool ~base ~steps entry in
             (match outcome with
             | _ when csv -> print_string (Repdb.Experiment.outcome_to_csv entry outcome)
@@ -488,8 +478,7 @@ let experiment_cmd =
          "Regenerate one of the paper's tables/figures or a sweep. Independent simulations run           on $(b,-j) domains."
        ~man:[ `S Manpage.s_description; exp_list ])
     Term.(
-      const run $ params_term $ exp_name $ steps $ csv $ jobs_term $ chunk_term $ timeline_dir
-      $ obs_flags)
+      const run $ params_term $ exp_name $ steps $ csv $ jobs_term $ timeline_dir $ obs_flags)
 
 (* --- report ---------------------------------------------------------------- *)
 

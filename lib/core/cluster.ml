@@ -84,7 +84,6 @@ type t = {
   rng : Rng.t;
   mutable next_gid : int;
   mutable next_attempt : int;
-  mutable deadline_at : float;
   mutable config_epoch : int;
   quiesce : quiescence;
   mutable stopped : bool;
@@ -230,7 +229,6 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
     rng = Rng.create ((params.seed * 31) + 7);
     next_gid = 0;
     next_attempt = 0;
-    deadline_at = infinity;
     config_epoch = 0;
     quiesce = { outstanding = 0; clients_running = 0; active_txns = 0; quiesced = Condvar.create () };
     stopped = false;
@@ -319,26 +317,20 @@ let make_batcher t net =
 (* The txn begin/commit/abort helpers double as the span lifecycle hooks:
    the transaction frame ([Exec]) calls each exactly once per client
    attempt. *)
-let trace_txn_begin t ~gid ~site =
-  Span.begin_ t.spans ~gid ~site ~now:(Sim.now t.sim);
+let trace_txn_begin t ~gid ~attempt ~site =
+  Span.begin_ t.spans ~owner:attempt ~gid ~site ~now:(Sim.now t.sim);
   if Trace.on t.trace then Trace.record t.trace (Event.Txn_begin { gid; site })
 
-let trace_txn_commit t ~gid ~site =
-  Span.finish t.spans ~gid ~now:(Sim.now t.sim);
+let trace_txn_commit t ~gid ~attempt ~site =
+  Span.finish t.spans ~owner:attempt ~now:(Sim.now t.sim);
   if Trace.on t.trace then Trace.record t.trace (Event.Txn_commit { gid; site })
 
-let trace_txn_abort t ~gid ~site reason =
-  Span.finish t.spans ~gid ~now:(Sim.now t.sim);
+let trace_txn_abort t ~gid ~attempt ~site reason =
+  Span.finish t.spans ~owner:attempt ~now:(Sim.now t.sim);
   if Trace.on t.trace then
     Trace.record t.trace (Event.Txn_abort { gid; site; reason = Repdb_txn.Txn.string_of_abort reason })
 
 let profile_cat t name = Profile.cat (Sim.profile t.sim) name
-
-(* --- per-transaction deadlines -------------------------------------------- *)
-
-let arm_deadline t =
-  t.deadline_at <-
-    (if t.params.txn_deadline > 0.0 then Sim.now t.sim +. t.params.txn_deadline else infinity)
 
 (* --- bounded-staleness reads ---------------------------------------------- *)
 

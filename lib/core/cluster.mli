@@ -126,11 +126,6 @@ type t = {
   rng : Rng.t;  (** Workload stream; derived from [params.seed]. *)
   mutable next_gid : int;
   mutable next_attempt : int;
-  mutable deadline_at : float;
-      (** Absolute deadline of the submit being started, armed by the client
-          immediately before [submit]; protocols capture it at entry (there
-          is no blocking point in between, so the handoff never mixes
-          transactions). [infinity] when deadlines are off. *)
   mutable config_epoch : int;
       (** Configuration epoch; bumped once per executed epoch switch.
           Propagation messages carry the epoch they were routed under and
@@ -160,7 +155,8 @@ val create_with :
 (** Fresh global transaction id. *)
 val fresh_gid : t -> int
 
-(** Fresh execution-attempt id (lock owner). *)
+(** Fresh execution-attempt id: the only identity of a lock owner and of a
+    history attempt. *)
 val fresh_attempt : t -> int
 
 (** [use_cpu t site d] — consume [d] ms of the site's machine CPU (FIFO). *)
@@ -195,18 +191,13 @@ val make_batcher : t -> 'a list Repdb_net.Network.t -> 'a Repdb_net.Batcher.t
     on, records the matching event. Other events are recorded directly
     with the [Trace.on]/[Trace.record] idiom. *)
 
-val trace_txn_begin : t -> gid:int -> site:int -> unit
-val trace_txn_commit : t -> gid:int -> site:int -> unit
-val trace_txn_abort : t -> gid:int -> site:int -> Repdb_txn.Txn.abort_reason -> unit
+val trace_txn_begin : t -> gid:int -> attempt:int -> site:int -> unit
+val trace_txn_commit : t -> gid:int -> attempt:int -> site:int -> unit
+val trace_txn_abort : t -> gid:int -> attempt:int -> site:int -> Repdb_txn.Txn.abort_reason -> unit
 
 (** Intern a profiler category name in the kernel's self-profiler (cheap;
     "other" when [params.profile] is off). *)
 val profile_cat : t -> string -> int
-
-(** Arm {!field:deadline_at} for the submit about to start: now +
-    [params.txn_deadline], or [infinity] when deadlines are disabled. Called
-    by the driver's client immediately before each attempt. *)
-val arm_deadline : t -> unit
 
 (** {1 Bounded-staleness reads}
 

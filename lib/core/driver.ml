@@ -42,8 +42,6 @@ let client (c : Cluster.t) metrics submit gen rng retry_rng ~site =
   let response_hist = Stats.histogram c.stats "response" in
   let commit_ctr = Stats.counter c.stats "txn.commit" in
   let abort_ctr = Stats.counter c.stats "txn.abort" in
-  (* Built once per client: the retry closure below, allocated per
-     transaction, captures these two instead of every handle they use. *)
   let committed ~start =
     let now = Sim.now c.sim in
     let response = now -. start in
@@ -73,6 +71,26 @@ let client (c : Cluster.t) metrics submit gen rng retry_rng ~site =
              true
            end
   in
+  (* One attempt of the transaction begun at [start] with [spec], drawn
+     under [spec_epoch]; [n_failed] counts its failed attempts, and each
+     attempt gets a fresh deadline from [Exec.begin_]. Built once per
+     client, with the per-transaction state as arguments, so a transaction
+     allocates no closure. *)
+  let rec attempt spec spec_epoch start n_failed =
+    Cluster.reconfig_barrier c ~site;
+    (* A retry that crossed an epoch switch redraws its transaction: the
+       old spec may read replicas the new placement dropped from this
+       site, whose local copies no longer receive updates. *)
+    let spec = if c.config_epoch <> spec_epoch then Generator.gen_with gen rng ~site else spec in
+    let spec_epoch = c.config_epoch in
+    Cluster.txn_started c;
+    let outcome = submit spec in
+    Cluster.txn_finished c;
+    match outcome with
+    | Txn.Committed -> committed ~start
+    | Txn.Aborted reason ->
+        if aborted reason ~n_failed then attempt spec spec_epoch start (n_failed + 1)
+  in
   for _ = 1 to c.params.txns_per_thread do
     (* A crashed site accepts no new transactions; its clients pause until
        the restart broadcast. *)
@@ -80,29 +98,9 @@ let client (c : Cluster.t) metrics submit gen rng retry_rng ~site =
     (* An in-progress epoch switch stalls the client here (the mid-run
        throughput dip the reconfig experiment measures). *)
     Cluster.reconfig_barrier c ~site;
-    let spec = ref (Generator.gen_with gen rng ~site) in
-    let spec_epoch = ref c.config_epoch in
+    let spec = Generator.gen_with gen rng ~site in
     let start = Sim.now c.sim in
-    (* [n_failed] counts this transaction's failed attempts; each retry gets
-       a fresh deadline (the deadline is per attempt, not per transaction). *)
-    let rec attempt n_failed =
-      Cluster.reconfig_barrier c ~site;
-      (* A retry that crossed an epoch switch redraws its transaction: the
-         old spec may read replicas the new placement dropped from this
-         site, whose local copies no longer receive updates. *)
-      if c.config_epoch <> !spec_epoch then begin
-        spec := Generator.gen_with gen rng ~site;
-        spec_epoch := c.config_epoch
-      end;
-      Cluster.txn_started c;
-      Cluster.arm_deadline c;
-      let outcome = submit !spec in
-      Cluster.txn_finished c;
-      match outcome with
-      | Txn.Committed -> committed ~start
-      | Txn.Aborted reason -> if aborted reason ~n_failed then attempt (n_failed + 1)
-    in
-    attempt 0
+    attempt spec c.config_epoch start 0
   done;
   Metrics.client_done metrics ~time:(Sim.now c.sim);
   Cluster.client_finished c

@@ -8,8 +8,8 @@
     faces the identical workload; retry backoff jitter comes from a second,
     independent per-thread stream, so enabling
     {!Repdb_workload.Params.retry_policy} retries does not shift the
-    workload draws. When [txn_deadline > 0] the client arms a fresh deadline
-    ({!Cluster.arm_deadline}) immediately before every submit attempt. *)
+    workload draws. When [txn_deadline > 0] every submit attempt gets a
+    fresh deadline, set by {!Exec.begin_}. *)
 
 type report = {
   protocol : string;

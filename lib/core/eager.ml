@@ -65,7 +65,6 @@ let create (c : Cluster.t) =
   Exec.spawn_servers c (fun site -> [ (fun () -> server t site) ]);
   t
 
-(* Write-all locks span sites, so the gid doubles as the lock owner. *)
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let participants = Remote.held () in
@@ -107,7 +106,7 @@ let submit t (spec : Txn.spec) =
     in
     go spec.ops
   in
-  Exec.primary ~attempt_is_gid:true c spec ~run
+  Exec.primary c spec ~run
     ~cleanup:(decide_all ~commit:false ~origin_commit:0.0)
     ~prepare:(fun f () ->
       (* Phase 1: prepare round to every participant (the eager

@@ -109,13 +109,14 @@ type frame = {
   deadline_at : float;
 }
 
-let begin_ ?(attempt_is_gid = false) (c : Cluster.t) (spec : Txn.spec) =
+let begin_ (c : Cluster.t) (spec : Txn.spec) =
   let site = spec.origin in
-  let deadline_at = c.deadline_at in
+  let deadline_at =
+    if c.params.txn_deadline > 0.0 then Sim.now c.sim +. c.params.txn_deadline else infinity
+  in
   let gid = Cluster.fresh_gid c in
-  let attempt = if attempt_is_gid then gid else Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Span.link c.spans ~owner:attempt ~gid;
+  let attempt = Cluster.fresh_attempt c in
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   { c; site; gid; attempt; writes = List.sort_uniq compare (Txn.writes spec); deadline_at }
 
 let prop_wait f wait =
@@ -128,25 +129,24 @@ let abort_traced ~trace_first ?(cleanup = ignore) f reason =
   let { c; site; gid; attempt; _ } = f in
   if reason = Txn.Deadline_exceeded && Trace.on c.trace then
     Trace.record c.trace (Event.Txn_deadline { gid; site });
-  if trace_first then Cluster.trace_txn_abort c ~gid ~site reason;
+  if trace_first then Cluster.trace_txn_abort c ~gid ~attempt ~site reason;
   abort_local c ~attempt ~site;
   cleanup ();
-  if not trace_first then Cluster.trace_txn_abort c ~gid ~site reason;
+  if not trace_first then Cluster.trace_txn_abort c ~gid ~attempt ~site reason;
   Txn.Aborted reason
 
 let abort = abort_traced ~trace_first:false
 
-let commit_certified ?on_apply (c : Cluster.t) ~gid ~site vwrites =
+let commit_certified ?on_apply (c : Cluster.t) ~gid ~attempt ~site vwrites =
   commit_cost c ~site;
   if vwrites <> [] then begin
     apply_versioned ?on_apply c ~gid ~site vwrites;
     Cluster.note_destined c ~items:(List.map fst vwrites)
   end;
-  Cluster.trace_txn_commit c ~gid ~site
+  Cluster.trace_txn_commit c ~gid ~attempt ~site
 
-let primary ?attempt_is_gid ?(replicated = true) ?(cleanup = ignore) ?prepare ?hold c spec ~run
-    ~publish =
-  let f = begin_ ?attempt_is_gid c spec in
+let primary ?(replicated = true) ?(cleanup = ignore) ?prepare ?hold c spec ~run ~publish =
+  let f = begin_ c spec in
   let { site; gid; attempt; writes; _ } = f in
   match run f with
   | Error reason -> abort f reason ~cleanup:(fun () -> cleanup f)
@@ -160,7 +160,7 @@ let primary ?attempt_is_gid ?(replicated = true) ?(cleanup = ignore) ?prepare ?h
           apply_writes c ~gid ~site writes;
           if replicated then Cluster.note_destined c ~items:writes;
           (match hold with Some hold -> hold f | None -> ());
-          Cluster.trace_txn_commit c ~gid ~site;
+          Cluster.trace_txn_commit c ~gid ~attempt ~site;
           release c ~attempt ~site;
           publish f r;
           Txn.Committed)

@@ -81,15 +81,20 @@ type frame = {
   c : Cluster.t;
   site : int;  (** Origin site. *)
   gid : int;
-  attempt : int;  (** Lock owner; equal to [gid] when locks span sites. *)
+  attempt : int;
+      (** From {!Cluster.fresh_attempt}: the lock owner at every site, the
+          history attempt and the span key. *)
   writes : int list;  (** The write set, sorted and deduplicated. *)
-  deadline_at : float;  (** The deadline armed for this attempt. *)
+  deadline_at : float;
+      (** Now + [params.txn_deadline] at {!begin_}, or [infinity] when
+          deadlines are off. *)
 }
 
-(** [begin_ c spec] — capture the armed deadline, allocate the gid and
-    attempt ([attempt_is_gid] when locks span sites), trace [Txn_begin] and
-    link the attempt to its span. *)
-val begin_ : ?attempt_is_gid:bool -> Cluster.t -> Txn.spec -> frame
+(** [begin_ c spec] — set the attempt's deadline, allocate the gid and the
+    attempt id, trace [Txn_begin] and open the attempt's span. Every
+    protocol's [submit] calls it before its first blocking point, so the
+    deadline counts from the submit. *)
+val begin_ : Cluster.t -> Txn.spec -> frame
 
 (** [prop_wait f wait] — run the blocking [wait], charging its duration to
     the propagation-wait span. *)
@@ -99,11 +104,13 @@ val prop_wait : frame -> (unit -> 'a) -> 'a
     the attempt's locks and accesses, run [cleanup], trace [Txn_abort]. *)
 val abort : ?cleanup:(unit -> unit) -> frame -> Txn.abort_reason -> Txn.outcome
 
-(** [commit_certified c ~gid ~site vwrites] — an optimistic commit section,
-    run where the verdict lands: commit cost, {!apply_versioned}, note the
-    writes destined for their replicas, trace [Txn_commit]. *)
+(** [commit_certified c ~gid ~attempt ~site vwrites] — an optimistic
+    commit section, run where the verdict lands: commit cost,
+    {!apply_versioned}, note the writes destined for their replicas, trace
+    [Txn_commit] and close [attempt]'s span. *)
 val commit_certified :
-  ?on_apply:(int -> int -> unit) -> Cluster.t -> gid:int -> site:int -> (int * int) list -> unit
+  ?on_apply:(int -> int -> unit) ->
+  Cluster.t -> gid:int -> attempt:int -> site:int -> (int * int) list -> unit
 
 (** [primary c spec ~run ~publish] — one strict-2PL primary transaction.
     {!begin_}; [run] executes it and returns what later steps need; on
@@ -115,7 +122,6 @@ val commit_certified :
     [publish]. Without [hold] the section does not block, so commit order
     equals publish order. *)
 val primary :
-  ?attempt_is_gid:bool ->
   ?replicated:bool ->
   ?cleanup:(frame -> unit) ->
   ?prepare:(frame -> 'a -> (unit, Txn.abort_reason) result) ->

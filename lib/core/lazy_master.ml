@@ -52,7 +52,6 @@ let create (c : Cluster.t) =
   Exec.spawn_servers c (fun site -> [ (fun () -> server t site) ]);
   t
 
-(* Remote read locks span sites, so the gid doubles as the lock owner. *)
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let held = Remote.held () in
@@ -77,7 +76,7 @@ let submit t (spec : Txn.spec) =
     in
     go spec.ops
   in
-  Exec.primary ~attempt_is_gid:true c spec ~run ~cleanup:release
+  Exec.primary c spec ~run ~cleanup:release
     ~hold:(fun f ->
       (* Push the updates and hold every lock until all replicas ack; the
          lazy stream may park in the coalescer. *)

@@ -19,7 +19,7 @@ val create : unit -> t
 
 (** A committed attempt finished at simulated ms [at]: keep its exact
     [response] (for {!percentile}) and land it in the availability
-    timeline ({!val:bucket_ms} buckets). *)
+    timeline (100 ms buckets). *)
 val commit : t -> at:float -> response:float -> unit
 
 (** An aborted attempt finished at [at]; availability timeline only. *)
@@ -27,9 +27,6 @@ val abort : t -> at:float -> unit
 
 (** A client thread finished all its transactions at [time]. *)
 val client_done : t -> time:float -> unit
-
-(** Availability-timeline bucket width, ms (100). *)
-val bucket_ms : float
 
 (** The registry counter charged with aborts for [reason]:
     ["abort.<reason>"], e.g. ["abort.lock-timeout"]. *)
@@ -62,7 +59,7 @@ type summary = {
   per_site : site_summary list;  (** One row per origin site. *)
   timeline : (float * int * int) list;
       (** Goodput / abort-rate timeline: [(bucket_start_ms, commits, aborts)]
-          per {!val:bucket_ms} bucket. *)
+          per 100 ms bucket. *)
   unavail_ms : float;
       (** Total ms in buckets with aborts but no commits — time the system
           was reachable-but-refusing. Idle buckets do not count. *)

@@ -13,6 +13,7 @@ let validator_site = 0
 
 type pending = {
   gid : int;
+  attempt : int;
   reads : (int * int) list;
   writes : int list;
   deliver : [ `Committed | `Validation_failed | `Deadline ] -> unit;
@@ -37,9 +38,6 @@ type t = {
   queues : pending list ref array; (* per site, reversed arrival order *)
 }
 
-let validated t = Validator.validated t.validator
-let rejected t = Validator.rejected t.validator
-
 (* Certified writes are applied at the origin primary by the server, not the
    waiting client: a client whose deadline fired mid-epoch has already been
    resumed (resumption is one-shot — its late verdict is ignored), but the
@@ -53,7 +51,7 @@ let apply_verdicts t ~site results =
       match verdict with
       | None -> p.deliver `Validation_failed
       | Some vwrites ->
-          Exec.commit_certified c ~gid:p.gid ~site vwrites;
+          Exec.commit_certified c ~gid:p.gid ~attempt:p.attempt ~site vwrites;
           (* Lazy propagation of the winner's writes; per-item streams are
              FIFO from the primary, so replicas apply in validation order. *)
           let u =
@@ -196,7 +194,8 @@ let submit t (spec : Txn.spec) =
       Exec.prop_wait f (fun () ->
           Sim.suspend (fun resume ->
               t.queues.(site) :=
-                { gid; reads; writes = f.writes; deliver = resume } :: !(t.queues.(site));
+                { gid; attempt = f.attempt; reads; writes = f.writes; deliver = resume }
+                :: !(t.queues.(site));
               if f.deadline_at < infinity then
                 Sim.at c.sim f.deadline_at (fun () ->
                     (* Still buffered: withdraw, the validator never saw it.

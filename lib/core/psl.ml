@@ -19,9 +19,8 @@ let create (c : Cluster.t) =
   Exec.spawn_servers c (fun site -> [ (fun () -> Exec.serve net site (Remote.handle locks ~site)) ]);
   { c; net; locks }
 
-(* PSL locks span sites, so the gid doubles as the attempt/lock-owner id;
-   remote primaries record history under it directly. Remote primaries hold
-   shared locks until the commit or abort releases them. *)
+(* Remote primaries hold shared locks until the commit or abort releases
+   them. *)
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let held = Remote.held () in
@@ -66,7 +65,7 @@ let submit t (spec : Txn.spec) =
     in
     go spec.ops
   in
-  Exec.primary ~attempt_is_gid:true ~replicated:false c spec ~run
+  Exec.primary ~replicated:false c spec ~run
     ~cleanup:(fun f -> ignore (Remote.release t.locks f held))
     ~publish:(fun f () -> Propagate.charge c ~site:f.site (Remote.release t.locks f held))
 

@@ -15,7 +15,7 @@ let call ?(deadline_at = infinity) (c : Cluster.t) ~site send =
             resume (`Reply v)))
 
 type msg =
-  | Request of { item : int; owner : int; reply : bool -> unit }
+  | Request of { item : int; gid : int; owner : int; reply : bool -> unit }
   | Answer of { granted : bool; deliver : bool -> unit }
   | Release of { owner : int }
 
@@ -37,14 +37,14 @@ type t = {
 let locks ?(on_grant = fun ~site:_ ~owner:_ _ -> ()) c mode ~send = { c; mode; on_grant; send }
 
 (* A request is served by its own process since the lock wait can block. *)
-let serve l ~site ~src ~item ~owner ~reply =
+let serve l ~site ~src ~item ~gid ~owner ~reply =
   let c = l.c in
   Cluster.use_cpu c site c.params.cpu_msg;
   let granted =
     match Lock_mgr.acquire c.locks.(site) ~owner item l.mode with
     | Lock_mgr.Granted ->
         l.on_grant ~site ~owner item;
-        History.record c.history ~site ~item ~gid:owner ~attempt:owner
+        History.record c.history ~site ~item ~gid ~attempt:owner
           (match l.mode with Shared -> History.R | Exclusive -> History.W);
         true
     | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> false
@@ -52,8 +52,8 @@ let serve l ~site ~src ~item ~owner ~reply =
   l.send ~src:site ~dst:src (Answer { granted; deliver = reply })
 
 let handle l ~site ~src = function
-  | Request { item; owner; reply } ->
-      Sim.spawn l.c.sim (fun () -> serve l ~site ~src ~item ~owner ~reply)
+  | Request { item; gid; owner; reply } ->
+      Sim.spawn l.c.sim (fun () -> serve l ~site ~src ~item ~gid ~owner ~reply)
   | Answer { granted; deliver } -> deliver granted
   | Release { owner } ->
       Sim.spawn l.c.sim (fun () ->
@@ -69,7 +69,7 @@ let acquire l (f : Exec.frame) held ~dst item =
   Hashtbl.replace held dst ();
   match
     call l.c ~site:f.site ~deadline_at:f.deadline_at (fun reply ->
-        l.send ~src:f.site ~dst (Request { item; owner = f.attempt; reply }))
+        l.send ~src:f.site ~dst (Request { item; gid = f.gid; owner = f.attempt; reply }))
   with
   | `Reply true -> Ok ()
   | `Reply false -> Error Txn.Remote_denied

@@ -16,7 +16,9 @@ val call :
 (** {1 Primary-site locks} *)
 
 type msg =
-  | Request of { item : int; owner : int; reply : bool -> unit }
+  | Request of { item : int; gid : int; owner : int; reply : bool -> unit }
+      (** [owner] is the requester's attempt id: the lock owner and the
+          history attempt at the granting site. *)
   | Answer of { granted : bool; deliver : bool -> unit }  (** Grant or denial. *)
   | Release of { owner : int }
 

@@ -46,9 +46,9 @@ type t = {
    replies are FIFO and this site is the single primary of everything in
    [vwrites]), so versions apply in certification order even when the
    waiting client already gave up on its deadline. *)
-let apply_commit t ~site ~gid ~commit_ts vwrites =
+let apply_commit t ~site ~gid ~attempt ~commit_ts vwrites =
   let c = t.c in
-  Exec.commit_certified c ~gid ~site vwrites ~on_apply:(fun item version ->
+  Exec.commit_certified c ~gid ~attempt ~site vwrites ~on_apply:(fun item version ->
       Mvstore.append t.mv.(site) ~item ~version ~commit_ts);
   let u =
     {
@@ -194,7 +194,8 @@ let submit t (spec : Txn.spec) =
       then abort Txn.Partitioned
       else
         let landed = function
-          | Tracker.Commit { commit_ts; writes } -> apply_commit t ~site ~gid ~commit_ts writes
+          | Tracker.Commit { commit_ts; writes } ->
+              apply_commit t ~site ~gid ~attempt ~commit_ts writes
           | Tracker.Abort _ -> ()
         in
         let sent = ref false in

@@ -68,7 +68,3 @@ let well_formed t =
     | [ _ ] | [] -> true
   in
   t.rev <> [] && decreasing t.rev
-
-let pp ppf t =
-  Fmt.pf ppf "e%d:" t.epoch;
-  List.iter (fun tup -> Fmt.pf ppf "(s%d,%d)" tup.site tup.lts) (List.rev t.rev)

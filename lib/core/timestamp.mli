@@ -63,5 +63,3 @@ val with_epoch : t -> int -> t
 
 (** The vector respects strictly-increasing site order. *)
 val well_formed : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -120,39 +120,7 @@ let validate ~n_sites s =
 
 (* --- spec parsing --------------------------------------------------------- *)
 
-let ( let* ) = Result.bind
-
-let parse_float name v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "faults: %s is not a number: %S" name v)
-
-let parse_int name v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "faults: %s is not an integer: %S" name v)
-
-(* "k1=v1,k2=v2" -> assoc list *)
-let parse_opts s =
-  let parts = if s = "" then [] else String.split_on_char ',' s in
-  List.fold_left
-    (fun acc part ->
-      let* acc = acc in
-      match String.index_opt part '=' with
-      | Some i ->
-          let k = String.sub part 0 i
-          and v = String.sub part (i + 1) (String.length part - i - 1) in
-          Ok ((k, v) :: acc)
-      | None -> Error (Printf.sprintf "faults: expected key=value, got %S" part))
-    (Ok []) parts
-
-let opt_field opts key ~default parse =
-  match List.assoc_opt key opts with Some v -> parse key v | None -> Ok default
-
-let req_field opts key parse =
-  match List.assoc_opt key opts with
-  | Some v -> parse key v
-  | None -> Error (Printf.sprintf "faults: missing %s=..." key)
+open Spec
 
 (* "T1-T2" *)
 let parse_span s =
@@ -161,7 +129,7 @@ let parse_span s =
       let* a = parse_float "window start" (String.sub s 0 i) in
       let* b = parse_float "window end" (String.sub s (i + 1) (String.length s - i - 1)) in
       Ok (a, b)
-  | None -> Error (Printf.sprintf "faults: expected T1-T2, got %S" s)
+  | None -> Error (Printf.sprintf "expected T1-T2, got %S" s)
 
 (* "0.1.2|3.4.5" -> [[0;1;2];[3;4;5]] *)
 let parse_groups _name v =
@@ -184,17 +152,9 @@ let parse_groups _name v =
        (Ok [])
   |> Result.map List.rev
 
-let parse_clause acc clause =
-  let head, opts_s =
-    match String.index_opt clause ':' with
-    | Some i -> (String.sub clause 0 i, String.sub clause (i + 1) (String.length clause - i - 1))
-    | None -> (clause, "")
-  in
-  let* opts = parse_opts opts_s in
-  match String.index_opt head '@' with
-  | Some i -> (
-      let kind = String.sub head 0 i
-      and arg = String.sub head (i + 1) (String.length head - i - 1) in
+let parse_clause acc ~text head opts =
+  match head with
+  | At (kind, arg) -> (
       match kind with
       | "crash" ->
           let* at = parse_float "crash time" arg in
@@ -230,19 +190,16 @@ let parse_clause acc clause =
           let* c_site = req_field opts "site" parse_int in
           let* c_prob = req_field opts "p" parse_float in
           Ok { acc with corruptions = { c_site; c_at; c_prob } :: acc.corruptions }
-      | other -> Error (Printf.sprintf "faults: unknown clause %S" other))
-  | None -> (
+      | other -> Error (Printf.sprintf "unknown clause %S" other))
+  | Bare head -> (
       match String.index_opt head '=' with
       | Some i when String.sub head 0 i = "rto" ->
           let* rto = parse_float "rto" (String.sub head (i + 1) (String.length head - i - 1)) in
           Ok { acc with rto }
-      | _ -> Error (Printf.sprintf "faults: unknown clause %S" clause))
+      | _ -> Error (Printf.sprintf "unknown clause %S" text))
 
 let of_string spec =
-  let clauses =
-    String.split_on_char ';' spec |> List.map String.trim |> List.filter (fun s -> s <> "")
-  in
-  let* s = List.fold_left (fun acc c -> Result.bind acc (fun acc -> parse_clause acc c)) (Ok empty) clauses in
+  let* s = Spec.parse ~what:"faults" spec ~init:empty parse_clause in
   Ok
     {
       s with

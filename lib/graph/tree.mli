@@ -12,8 +12,6 @@ type t
 (** [parent t v] is the parent of [v], or [-1] for a root. *)
 val parent : t -> int -> int
 
-val n_vertices : t -> int
-
 (** Children of [v], ascending. *)
 val children : t -> int -> int list
 

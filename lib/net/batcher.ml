@@ -46,8 +46,6 @@ let create ~sim ~n_sites ~size ~linger_ms ~ship () =
     cat = Repdb_obs.Profile.cat (Sim.profile sim) "net";
   }
 
-let size t = t.size
-
 let check t v = if v < 0 || v >= Array.length t.armed then invalid_arg "Batcher: site out of range"
 
 let flush t ~src ~dst =

@@ -39,9 +39,6 @@ val create :
   unit ->
   'a t
 
-(** The configured flush threshold. *)
-val size : 'a t -> int
-
 (** Park an update for the pair (shipping immediately when [size = 1], when
     the queue fills, or — via the armed timer — after the linger).
     @raise Invalid_argument on out-of-range sites. *)

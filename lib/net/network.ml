@@ -152,20 +152,11 @@ let set_handler t dst f =
   t.targets.(dst) <- Handler f
 
 let messages_sent t = t.sent
-let messages_delivered t = t.delivered
 
 (* Messages accepted by [send] whose delivery event has not yet run. Counts
    one per message regardless of retransmissions (drops are re-sent by the
    acked link until the single delivery fires). *)
 let in_flight t = t.sent - t.delivered
-
-let in_flight_to t dst =
-  check t dst;
-  let acc = ref 0 in
-  for src = 0 to t.n - 1 do
-    acc := !acc + t.inflight_pair.((src * t.n) + dst)
-  done;
-  !acc
 
 let in_flight_matching t ~f =
   let acc = ref 0 in
@@ -176,10 +167,6 @@ let in_flight_matching t ~f =
     done
   done;
   !acc
-
-let inbox_depth t dst =
-  check t dst;
-  match t.targets.(dst) with Inbox mb -> Mailbox.length mb | Handler _ -> 0
 
 let latency t ~src ~dst =
   check t src;

@@ -74,16 +74,9 @@ val set_handler : 'a t -> int -> (src:int -> 'a -> unit) -> unit
 (** Total logical messages sent so far (physical sends weighted by [arity]). *)
 val messages_sent : 'a t -> int
 
-(** Total logical messages whose delivery event has run. *)
-val messages_delivered : 'a t -> int
-
 (** Logical messages sent but not yet delivered — counted once per update
     regardless of how many faulty transmission attempts it took. *)
 val in_flight : 'a t -> int
-
-(** [in_flight_to t dst] — the subset of {!in_flight} destined for [dst].
-    @raise Invalid_argument on an out-of-range site. *)
-val in_flight_to : 'a t -> int -> int
 
 (** [in_flight_matching t ~f] — logical in-flight messages on ordered pairs
     selected by [f ~src ~dst]. The healer's failover drain waits for
@@ -92,10 +85,6 @@ val in_flight_to : 'a t -> int -> int
     traffic parked behind a crashed site must not stall the epoch switch for
     the whole downtime. *)
 val in_flight_matching : 'a t -> f:(src:int -> dst:int -> bool) -> int
-
-(** Undrained messages in [dst]'s inbox mailbox (0 for handler targets,
-    which consume at delivery time). *)
-val inbox_depth : 'a t -> int -> int
 
 (** Total dropped transmission attempts so far (0 without an injector; a
     single message may account for several). *)

@@ -8,26 +8,23 @@
     regains control, so samples never nest and the per-category sums
     partition the loop's total execution time.
 
-    The profiler is zero-cost when disabled: {!cat} returns the shared
-    {!other} id and schedulers skip the wrap entirely after one {!on}
-    check. *)
+    Category 0, ["other"], is the catch-all. The profiler is zero-cost
+    when disabled: {!cat} returns category 0 and schedulers skip the wrap
+    entirely after one {!on} check. *)
 
 type t
 
-(** Shared disabled profiler: {!on} is [false], {!cat} returns {!other}. *)
+(** Shared disabled profiler: {!on} is [false], {!cat} returns 0. *)
 val disabled : t
 
 val create : unit -> t
 val on : t -> bool
 
-(** The pre-registered catch-all category (id 0, name ["other"]). *)
-val other : int
-
 (** [cat t name] — the category id for [name], interning it on first use.
-    Returns {!other} when disabled. *)
+    Returns 0 when disabled. *)
 val cat : t -> string -> int
 
-(** Category of the event currently executing ({!other} at top level).
+(** Category of the event currently executing (0 at top level).
     Schedulers use this to attribute work a process schedules on behalf of
     itself (delays, suspends) to the process's own category. *)
 val current : t -> int
@@ -37,9 +34,6 @@ val current : t -> int
 val wrap : t -> cat:int -> (unit -> unit) -> unit -> unit
 
 (** {1 Reading} *)
-
-(** Total seconds across all categories. *)
-val total_wall : t -> float
 
 val total_events : t -> int
 

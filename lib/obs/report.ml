@@ -5,8 +5,6 @@ type t = {
 }
 
 let meta t = t.meta
-let header t = t.header
-let data t = t.data
 let n_rows t = List.length t.data
 
 (* --- Parsing -------------------------------------------------------------- *)

@@ -9,10 +9,6 @@ type t
 
 val parse : string -> (t, string) result
 val meta : t -> (string * string) list
-val header : t -> string array
-
-(** Rows in sample order. *)
-val data : t -> float array list
 
 val n_rows : t -> int
 
@@ -22,10 +18,6 @@ val column : t -> string -> float list option
 (** [site_columns t prefix] — all [(site, series)] for columns named
     [prefix.N], sorted by site. *)
 val site_columns : t -> string -> (int * float list) list
-
-(** [sparkline xs] — [xs] rendered as Unicode block glyphs, downsampled to
-    at most [width] (default 60) buckets by taking each bucket's maximum. *)
-val sparkline : ?width:int -> float list -> string
 
 val to_markdown : t -> string
 val to_html : t -> string

@@ -7,7 +7,6 @@ type open_rec = {
   mutable o_lock : float;
   mutable o_prop : float;
   mutable o_commit : float;
-  mutable o_owners : int list;
 }
 
 type t = {
@@ -17,8 +16,7 @@ type t = {
   h_commit : Stats.histogram;
   h_think : Stats.histogram;
   trace : Trace.t;
-  open_ : (int, open_rec) Hashtbl.t; (* gid -> open attempt *)
-  owners : (int, int) Hashtbl.t; (* lock owner (attempt id) -> gid *)
+  open_ : (int, open_rec) Hashtbl.t; (* attempt id -> open attempt *)
 }
 
 let create ~stats ~trace () =
@@ -30,48 +28,36 @@ let create ~stats ~trace () =
     h_think = Stats.histogram stats "span.think";
     trace;
     open_ = Hashtbl.create 64;
-    owners = Hashtbl.create 64;
   }
 
-let begin_ t ~gid ~site ~now =
-  Hashtbl.replace t.open_ gid
-    { o_gid = gid; o_site = site; o_start = now; o_lock = 0.0; o_prop = 0.0; o_commit = 0.0;
-      o_owners = [] }
+let begin_ t ~owner ~gid ~site ~now =
+  Hashtbl.replace t.open_ owner
+    { o_gid = gid; o_site = site; o_start = now; o_lock = 0.0; o_prop = 0.0; o_commit = 0.0 }
 
-let link t ~owner ~gid =
-  match Hashtbl.find_opt t.open_ gid with
-  | None -> ()
-  | Some r ->
-      Hashtbl.replace t.owners owner gid;
-      r.o_owners <- owner :: r.o_owners
-
-(* Unlinked owners (secondary appliers, participants) fall through silently:
-   only client attempts registered via [begin_]/[link] accumulate phases. *)
+(* Owners without an open record (secondary appliers, participants) fall
+   through silently: only client attempts opened by [begin_] accumulate
+   phases. *)
 let add t ~owner phase dur =
   if dur > 0.0 then
-    match Hashtbl.find_opt t.owners owner with
+    match Hashtbl.find_opt t.open_ owner with
     | None -> ()
-    | Some gid -> (
-        match Hashtbl.find_opt t.open_ gid with
-        | None -> ()
-        | Some r -> (
-            match phase with
-            | Lock_wait -> r.o_lock <- r.o_lock +. dur
-            | Prop_wait -> r.o_prop <- r.o_prop +. dur
-            | Commit -> r.o_commit <- r.o_commit +. dur))
+    | Some r -> (
+        match phase with
+        | Lock_wait -> r.o_lock <- r.o_lock +. dur
+        | Prop_wait -> r.o_prop <- r.o_prop +. dur
+        | Commit -> r.o_commit <- r.o_commit +. dur)
 
 let think t ~site dur = if dur > 0.0 then Stats.observe t.h_think ~site dur
 
-let finish t ~gid ~now =
-  match Hashtbl.find_opt t.open_ gid with
+let finish t ~owner ~now =
+  match Hashtbl.find_opt t.open_ owner with
   | None -> ()
   | Some r ->
-      Hashtbl.remove t.open_ gid;
-      List.iter (fun o -> Hashtbl.remove t.owners o) r.o_owners;
+      Hashtbl.remove t.open_ owner;
       let total = Float.max 0.0 (now -. r.o_start) in
       let accounted = r.o_lock +. r.o_prop +. r.o_commit in
       let exec = Float.max 0.0 (total -. accounted) in
-      let site = r.o_site in
+      let site = r.o_site and gid = r.o_gid in
       Stats.observe t.h_lock ~site r.o_lock;
       Stats.observe t.h_exec ~site exec;
       Stats.observe t.h_prop ~site r.o_prop;
@@ -91,5 +77,3 @@ let finish t ~gid ~now =
             end)
           [ ("lock", r.o_lock); ("exec", exec); ("prop", r.o_prop); ("commit", r.o_commit) ]
       end
-
-let open_count t = Hashtbl.length t.open_

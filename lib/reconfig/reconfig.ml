@@ -38,48 +38,11 @@ let validate ~n_sites ~n_items p =
 
 (* --- spec parsing --------------------------------------------------------- *)
 
-let ( let* ) = Result.bind
+open Repdb_fault.Spec
 
-let parse_float name v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "reconfig: %s is not a number: %S" name v)
-
-let parse_int name v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "reconfig: %s is not an integer: %S" name v)
-
-(* "k1=v1,k2=v2" -> assoc list *)
-let parse_opts s =
-  let parts = if s = "" then [] else String.split_on_char ',' s in
-  List.fold_left
-    (fun acc part ->
-      let* acc = acc in
-      match String.index_opt part '=' with
-      | Some i ->
-          let k = String.sub part 0 i
-          and v = String.sub part (i + 1) (String.length part - i - 1) in
-          Ok ((k, v) :: acc)
-      | None -> Error (Printf.sprintf "reconfig: expected key=value, got %S" part))
-    (Ok []) parts
-
-let req_field opts key parse =
-  match List.assoc_opt key opts with
-  | Some v -> parse key v
-  | None -> Error (Printf.sprintf "reconfig: missing %s=..." key)
-
-let parse_clause acc clause =
-  let head, opts_s =
-    match String.index_opt clause ':' with
-    | Some i -> (String.sub clause 0 i, String.sub clause (i + 1) (String.length clause - i - 1))
-    | None -> (clause, "")
-  in
-  let* opts = parse_opts opts_s in
-  match String.index_opt head '@' with
-  | Some i -> (
-      let kind = String.sub head 0 i
-      and arg = String.sub head (i + 1) (String.length head - i - 1) in
+let parse_clause acc ~text head opts =
+  match head with
+  | At (kind, arg) -> (
       let* at = parse_float "trigger time" arg in
       match kind with
       | "add" ->
@@ -94,20 +57,15 @@ let parse_clause acc clause =
           let* from_site = req_field opts "from" parse_int in
           let* to_site = req_field opts "to" parse_int in
           Ok ({ at; step = Rebalance_site { from_site; to_site } } :: acc)
-      | other -> Error (Printf.sprintf "reconfig: unknown clause %S" other))
-  | None -> Error (Printf.sprintf "reconfig: unknown clause %S" clause)
+      | other -> Error (Printf.sprintf "unknown clause %S" other))
+  | Bare _ -> Error (Printf.sprintf "unknown clause %S" text)
 
 (* Canonical step order: trigger time, ties broken structurally, so parsing,
    [synthetic] and [to_string] all agree on one deterministic sequence. *)
 let sort_steps steps = List.sort (fun a b -> compare (a.at, a.step) (b.at, b.step)) steps
 
 let of_string spec =
-  let clauses =
-    String.split_on_char ';' spec |> List.map String.trim |> List.filter (fun s -> s <> "")
-  in
-  let* steps =
-    List.fold_left (fun acc c -> Result.bind acc (fun acc -> parse_clause acc c)) (Ok []) clauses
-  in
+  let* steps = parse ~what:"reconfig" spec ~init:[] parse_clause in
   Ok { steps = sort_steps steps }
 
 let to_string p =

@@ -8,10 +8,6 @@ let create ~capacity () =
   if capacity < 1 then invalid_arg "Resource.create: capacity must be >= 1";
   { cap = capacity; free = capacity; waiters = Queue.create () }
 
-let capacity t = t.cap
-let available t = t.free
-let queue_length t = Queue.length t.waiters
-
 let acquire t =
   if t.free > 0 then t.free <- t.free - 1
   else Sim.suspend (fun resume -> Queue.add (fun () -> resume ()) t.waiters)

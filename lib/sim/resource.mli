@@ -10,17 +10,6 @@ type t
 (** [create ~capacity ()] — [capacity >= 1]. *)
 val create : capacity:int -> unit -> t
 
-val capacity : t -> int
-
-(** Units currently free. *)
-val available : t -> int
-
-(** Processes waiting to acquire. *)
-val queue_length : t -> int
-
-(** Acquire one unit, blocking FIFO if none free. *)
-val acquire : t -> unit
-
 (** Release one unit, waking the next waiter. *)
 val release : t -> unit
 

@@ -28,7 +28,6 @@ let next t =
 
 let next_int64 t = Int64.of_int (next t)
 let split t = { state = next t }
-let copy t = { state = t.state }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -7,7 +7,7 @@ type t = {
   mutable seq : int;
   mutable executed : int;
   events : (unit -> unit) Heap.t;
-  mutable profile : Profile.t;
+  profile : Profile.t;
 }
 
 type _ Effect.t +=
@@ -23,7 +23,6 @@ let now t = t.clock.(0)
 let clock t () = t.clock.(0)
 let events_executed t = t.executed
 let profile t = t.profile
-let set_profile t p = t.profile <- p
 
 (* When profiling, every scheduled closure is wrapped so its execution time
    and allocation are charged to a category: the caller's explicit [?cat],

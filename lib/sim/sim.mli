@@ -33,8 +33,6 @@ val create : ?profile:Repdb_obs.Profile.t -> unit -> t
 (** The kernel's profiler (the one passed to {!create}). *)
 val profile : t -> Repdb_obs.Profile.t
 
-val set_profile : t -> Repdb_obs.Profile.t -> unit
-
 (** Current simulated time (ms). *)
 val now : t -> float
 

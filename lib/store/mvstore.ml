@@ -25,11 +25,6 @@ let read_at t ~item ~ts =
       in
       find !chain
 
-let latest t ~item =
-  match Hashtbl.find_opt t.chains item with
-  | None -> None
-  | Some chain -> ( match !chain with [] -> None | e :: _ -> Some e.version)
-
 let truncate cap chain =
   let rec take n = function
     | [] -> []
@@ -58,25 +53,3 @@ let seed t ~item ~version ~commit_ts =
 let drop t ~item = Hashtbl.remove t.chains item
 
 let items t = Hashtbl.fold (fun item _ acc -> item :: acc) t.chains [] |> List.sort compare
-
-let chain_length t ~item =
-  match Hashtbl.find_opt t.chains item with None -> 0 | Some c -> List.length !c
-
-(* Version-chain checksum: FNV-1a over the newest entry's (version, item),
-   mirroring Value.checksum's construction. Commit timestamps are excluded —
-   two replicas that converged on the same version may have installed it at
-   different instants, and that is not divergence. *)
-let checksum t ~item =
-  match Hashtbl.find_opt t.chains item with
-  | None | Some { contents = [] } -> None
-  | Some { contents = { version; _ } :: _ } ->
-      let mask = (1 lsl 62) - 1 in
-      let fnv_prime = 0x100000001b3 in
-      let h = ref 0x0bf29ce484222325 in
-      let mix byte = h := (!h lxor byte) * fnv_prime land mask in
-      mix (version land 0xff);
-      mix ((version lsr 8) land 0xff);
-      mix ((version lsr 16) land 0xff);
-      mix (item land 0xff);
-      mix ((item lsr 8) land 0xff);
-      Some !h

@@ -24,9 +24,6 @@ val mem : t -> int -> bool
     the chain has been truncated/seeded past [ts]. *)
 val read_at : t -> item:int -> ts:float -> int option
 
-(** Newest version in the chain, [None] if the item has no chain here. *)
-val latest : t -> item:int -> int option
-
 (** [append t ~item ~version ~commit_ts] — install a newly committed
     version; versions and timestamps must be monotone.
     @raise Invalid_argument on a gap the caller should have prevented. *)
@@ -43,12 +40,3 @@ val drop : t -> item:int -> unit
 
 (** Items with a chain, ascending. *)
 val items : t -> int list
-
-val chain_length : t -> item:int -> int
-
-(** [checksum t ~item] — deterministic digest of the newest chain entry's
-    version (commit timestamps excluded: converging on the same version at
-    different instants is not divergence). [None] if the item has no chain
-    here. Used by the anti-entropy layer to cross-check version chains
-    alongside {!Repdb_store.Store.checksum}. *)
-val checksum : t -> item:int -> int option

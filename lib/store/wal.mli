@@ -18,16 +18,10 @@ type t
 
 val create : unit -> t
 
-(** Records appended since the last checkpoint, oldest first. *)
-val records : t -> record list
-
 val length : t -> int
 
 (** The checkpointed image this log is relative to. *)
 val snapshot : t -> (int * Value.t) list
-
-(** [append t r] — called by the store hooks. *)
-val append : t -> record -> unit
 
 (** [checkpoint t store] — snapshot [store]'s current contents and truncate
     the log. *)

@@ -140,6 +140,3 @@ let gen_with t rng ~site =
   end
 
 let gen t ~site = gen_with t t.rng ~site
-
-let readable t site = t.readable.(site)
-let writable t site = t.writable.(site)

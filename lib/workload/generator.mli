@@ -29,9 +29,3 @@ val gen : t -> site:int -> Repdb_txn.Txn.spec
     sequence (the driver uses this to present identical workloads to every
     protocol). *)
 val gen_with : t -> Repdb_sim.Rng.t -> site:int -> Repdb_txn.Txn.spec
-
-(** Item pools, exposed for tests: [readable t site] are items placed at the
-    site; [writable t site] the local primaries. *)
-val readable : t -> int -> int array
-
-val writable : t -> int -> int array

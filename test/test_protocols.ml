@@ -455,6 +455,36 @@ let test_lazy_master_basics () =
   checki "replica version" 1 (Repdb_store.Store.read c.stores.(2) 0).Repdb_store.Value.version;
   checkb "serializable" true (Serializability.check c.history = Serializability.Serializable)
 
+(* An attempt id names one gid: client attempts and secondary appliers draw
+   from one counter. A shared id would let a secondary's release free a
+   live primary's locks, and an aborted primary's discard hide the
+   secondary's committed accesses from the 1SR check. *)
+let test_lazy_master_one_gid_per_attempt () =
+  let params = { Params.default with txns_per_thread = 20; seed = 42; record_history = true } in
+  let c = Cluster.create params in
+  ignore (Driver.run_on c (module Repdb.Lazy_master : Protocol.S));
+  let history = c.history in
+  let accesses =
+    List.concat_map
+      (fun (site, item) -> Repdb_txn.History.committed_log history ~site ~item)
+      (Repdb_txn.History.touched history)
+  in
+  (* Each attempt's gid is the gid of its first committed access; count the
+     accesses that disagree. *)
+  let gid_of = Hashtbl.create 1024 in
+  let shared =
+    List.filter
+      (fun (a : Repdb_txn.History.access) ->
+        match Hashtbl.find_opt gid_of a.attempt with
+        | Some gid -> gid <> a.gid
+        | None ->
+            Hashtbl.replace gid_of a.attempt a.gid;
+            false)
+      accesses
+  in
+  checkb "some committed accesses" true (accesses <> []);
+  checki "committed accesses sharing their attempt id with another gid" 0 (List.length shared)
+
 let test_central_certification_rejects_stale_read () =
   (* T at site 2 reads a stale replica of item 0 while the update is stuck on
      a slow link; certification must reject it. *)
@@ -510,7 +540,6 @@ let run_ssi_remote_read ?latency params =
   let o = ref None and at = ref nan in
   Cluster.client_started c;
   Sim.spawn c.sim (fun () ->
-      Cluster.arm_deadline c;
       o := Some (Repdb.Ssi.submit p { Txn.origin = 0; ops = [ Txn.Read 1 ] });
       at := Sim.now c.sim;
       Cluster.client_finished c);
@@ -580,7 +609,10 @@ let () =
       ( "eager",
         [ Alcotest.test_case "updates replicas in txn" `Quick test_eager_updates_replicas_in_txn ] );
       ( "lazy-master",
-        [ Alcotest.test_case "basics" `Quick test_lazy_master_basics ] );
+        [
+          Alcotest.test_case "basics" `Quick test_lazy_master_basics;
+          Alcotest.test_case "one gid per attempt" `Quick test_lazy_master_one_gid_per_attempt;
+        ] );
       ( "central",
         [
           Alcotest.test_case "rejects stale read" `Quick test_central_certification_rejects_stale_read;
